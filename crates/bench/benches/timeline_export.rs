@@ -13,7 +13,7 @@
 //! deterministic timeline report itself.
 
 use criterion::{criterion_group, Criterion};
-use p4auth_bench::scale::{run_scale_engine, run_scale_timeline, Engine, ScaleConfig};
+use p4auth_bench::scale::{run_scale, run_scale_timeline, ScaleConfig};
 use p4auth_netsim::sched::SchedulerKind;
 
 fn config() -> ScaleConfig {
@@ -29,15 +29,15 @@ fn config() -> ScaleConfig {
 
 fn bench(c: &mut Criterion) {
     let cfg = config();
-    let engine = Engine::Sequential(SchedulerKind::Calendar);
+    let kind = SchedulerKind::Calendar;
     let mut group = c.benchmark_group("timeline_export");
     group.bench_function("uninstrumented", |b| {
-        b.iter(|| run_scale_engine(cfg, engine, None).events)
+        b.iter(|| run_scale(cfg, kind, None).events)
     });
     for (label, interval_ns) in [("export_1ms", 1_000_000u64), ("export_10ms", 10_000_000)] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let (run, timeline) = run_scale_timeline(cfg, engine, interval_ns);
+                let (run, timeline) = run_scale_timeline(cfg, kind, interval_ns);
                 (run.events, timeline.entries.len())
             })
         });

@@ -4,18 +4,15 @@
 //! ```sh
 //! cargo run -p p4auth-bench --bin repro                       # everything
 //! cargo run -p p4auth-bench --bin repro -- fig17              # one experiment
-//! cargo run -p p4auth-bench --bin repro -- scale --shards 4 --short
+//! cargo run -p p4auth-bench --bin repro -- scale --short
 //! cargo run -p p4auth-bench --bin repro -- users --baseline BENCH_users.json
 //! cargo run -p p4auth-bench --bin repro -- timeline --out /tmp/tl.json
 //! cargo run -p p4auth-bench --bin repro -- decode /tmp/tl.json.bin
 //! ```
 //!
-//! `--short` and `--shards <n>` are consumed before name filtering and
-//! set `P4AUTH_SCALE_SHORT` / `P4AUTH_SCALE_SHARDS` for the scale, users
-//! and timeline reports. `--stagger <ns>` sets `P4AUTH_SHARD_STAGGER`,
-//! making the sharded engine inject deterministic per-worker wall-clock
-//! delays — the determinism gates run twice with different values to
-//! prove worker scheduling cannot affect the output. `--out <path>` and
+//! `--short` is consumed before name filtering and sets
+//! `P4AUTH_SCALE_SHORT` for the scale, users, timeline, trace and
+//! scenarios reports. `--out <path>` and
 //! `--baseline <path>` are routed by [`ReportSink`] to the env var of the
 //! one selected experiment: `--out` writes that experiment's
 //! machine-readable output to `<path>` (plus `<path>.bin` for the binary
@@ -59,23 +56,16 @@ impl ReportSink {
     ];
     /// Experiments with a checked-in baseline gate.
     const BASELINE_VARS: &'static [(&'static str, &'static str)] = &[
-        ("scale", "P4AUTH_SCALE_BASELINE"),
         ("users", "P4AUTH_USERS_BASELINE"),
         ("scenarios", "P4AUTH_SCENARIOS_BASELINE"),
     ];
 
-    /// Parses the CLI. Flags that are plain env-var switches (`--short`,
-    /// `--shards`, `--stagger`) are applied immediately; `--out` and
-    /// `--baseline` are held until the experiment selection is known.
+    /// Parses the CLI. `--short`, a plain env-var switch, is applied
+    /// immediately; `--out` and `--baseline` are held until the
+    /// experiment selection is known.
     fn parse(args: &[String]) -> ReportSink {
         fn operand(args: &[String], i: usize, usage: &str) -> String {
             args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("{usage}");
-                std::process::exit(1);
-            })
-        }
-        fn numeric(args: &[String], i: usize, usage: &str) -> u64 {
-            operand(args, i, usage).parse().unwrap_or_else(|_| {
                 eprintln!("{usage}");
                 std::process::exit(1);
             })
@@ -89,16 +79,6 @@ impl ReportSink {
         while i < args.len() {
             match args[i].as_str() {
                 "--short" => std::env::set_var("P4AUTH_SCALE_SHORT", "1"),
-                "--shards" => {
-                    i += 1;
-                    let n = numeric(args, i, "--shards needs a positive integer");
-                    std::env::set_var("P4AUTH_SCALE_SHARDS", n.to_string());
-                }
-                "--stagger" => {
-                    i += 1;
-                    let ns = numeric(args, i, "--stagger needs a delay in nanoseconds");
-                    std::env::set_var("P4AUTH_SHARD_STAGGER", ns.to_string());
-                }
                 "--baseline" => {
                     i += 1;
                     sink.baseline = Some(operand(args, i, "--baseline needs a JSON path"));

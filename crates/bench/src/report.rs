@@ -518,22 +518,17 @@ pub fn replicas() {
 
 /// Streaming-telemetry timeline (`repro -- timeline`): runs the fig19-mix
 /// fat-tree workload with periodic delta export driven by the sim clock
-/// on all three engines — heap, calendar and sharded — and asserts their
+/// on both schedulers — heap and calendar — and asserts their
 /// serialized timelines are byte-identical (JSON and binary) before
 /// printing anything. Also checks `baseline + Σdeltas` reconstructs the
 /// final full snapshot and that the binary stream decodes back exactly.
 ///
 /// `P4AUTH_SCALE_SHORT=1` caps the workload for CI (`--short`);
-/// `P4AUTH_SCALE_SHARDS=<n>` sets the shard count (`--shards`, default 4);
 /// `P4AUTH_TIMELINE_INTERVAL_NS=<ns>` overrides the export grid (default
 /// 10µs of sim-time). `P4AUTH_TIMELINE_OUT=<path>` (`--out`) writes the
 /// JSON timeline to `<path>` and the binary stream to `<path>.bin`.
-/// `P4AUTH_SHARD_STAGGER=<ns>` (read by the sharded engine itself)
-/// additionally injects deterministic per-worker wall-clock delays; CI's
-/// two-run determinism gate sets *different* values on its two runs to
-/// prove worker scheduling cannot leak into the output.
 pub fn timeline() {
-    use crate::scale::{run_scale_timeline, Engine, ScaleConfig};
+    use crate::scale::{run_scale_timeline, ScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_netsim::Timeline;
 
@@ -543,10 +538,6 @@ pub fn timeline() {
     );
 
     let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let shards: usize = std::env::var("P4AUTH_SCALE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let interval_ns: u64 = std::env::var("P4AUTH_TIMELINE_INTERVAL_NS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -554,30 +545,17 @@ pub fn timeline() {
     let frames = if short { 50 } else { 400 };
     let cfg = ScaleConfig::for_k(4, frames);
 
-    let (heap_run, heap_tl) =
-        run_scale_timeline(cfg, Engine::Sequential(SchedulerKind::Heap), interval_ns);
-    let (cal_run, cal_tl) = run_scale_timeline(
-        cfg,
-        Engine::Sequential(SchedulerKind::Calendar),
-        interval_ns,
-    );
-    let (shard_run, shard_tl) = run_scale_timeline(cfg, Engine::Sharded { shards }, interval_ns);
+    let (heap_run, heap_tl) = run_scale_timeline(cfg, SchedulerKind::Heap, interval_ns);
+    let (cal_run, cal_tl) = run_scale_timeline(cfg, SchedulerKind::Calendar, interval_ns);
     assert_eq!(
         heap_run.fingerprint(),
         cal_run.fingerprint(),
         "schedulers diverged"
     );
-    assert_eq!(
-        heap_run.fingerprint(),
-        shard_run.fingerprint(),
-        "sharded engine diverged from sequential"
-    );
     let json = heap_tl.to_json();
     let bin = heap_tl.to_bin();
     assert_eq!(cal_tl.to_json(), json, "calendar timeline diverged");
-    assert_eq!(shard_tl.to_json(), json, "sharded timeline diverged");
     assert_eq!(cal_tl.to_bin(), bin);
-    assert_eq!(shard_tl.to_bin(), bin);
     assert_eq!(
         heap_tl.reconstruct(),
         heap_tl.final_snapshot,
@@ -589,7 +567,7 @@ pub fn timeline() {
     );
 
     println!(
-        "k={} frames/host={} interval={interval_ns}ns shards={shards}: \
+        "k={} frames/host={} interval={interval_ns}ns: \
          {} events over {} sim-ns, {} non-empty deltas, {} binary bytes",
         cfg.k,
         frames,
@@ -611,10 +589,10 @@ pub fn timeline() {
 /// the simulation clock, exported deterministically.
 ///
 /// Two workloads run under tracing. The *fabric* workload (fig19-mix
-/// user fabric with a link-flap plan) runs on five engines — heap,
-/// calendar, sharded at 1, 2 and 4 shards — and the report asserts their
-/// `P4TR` encodings are byte-identical with zero spans dropped, the
-/// engine-invariance claim for the span layer. The *defence probe* (the
+/// user fabric with a link-flap plan) runs on the heap and calendar
+/// schedulers, and the report asserts their `P4TR` encodings are
+/// byte-identical with zero spans dropped, the scheduler-invariance
+/// claim for the span layer. The *defence probe* (the
 /// flood campaign on heap and calendar) yields the end-to-end trace —
 /// frame hops, digest verdicts, statedb writes, daemon wakes, KMP
 /// rounds — from which the mitigation critical path is printed: the
@@ -626,17 +604,13 @@ pub fn timeline() {
 /// `P4AUTH_TRACE_OUT=<path>` (`--out`) writes the probe trace as Chrome
 /// `chrome://tracing` JSON to `<path>` and as `P4TR` binary to
 /// `<path>.bin` (`repro -- decode` inverts the latter back to the same
-/// JSON). `P4AUTH_SHARD_STAGGER=<ns>` (read by the sharded engine)
-/// injects deterministic per-worker wall-clock delays; CI's two-run gate
-/// uses different values to prove worker scheduling cannot leak into
-/// the artifacts.
+/// JSON).
 pub fn trace() {
     use p4auth_netsim::fault::FaultPlan;
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_netsim::topology::LinkId;
     use p4auth_systems::campaigns::traced_defence_probe;
-    use p4auth_systems::scaleload::Engine;
-    use p4auth_systems::userscale::{run_users_engine, UserScaleConfig};
+    use p4auth_systems::userscale::{run_users, UserScaleConfig};
     use p4auth_telemetry::trace::{
         chrome_trace_json, encode_trace, validate_well_formed, SpanKind,
     };
@@ -644,8 +618,8 @@ pub fn trace() {
     use std::sync::Arc;
 
     banner(
-        "trace — causal flight recorder, engine-invariant by construction",
-        "ROADMAP \"causal flight recorder\"; DESIGN §4h",
+        "trace — causal flight recorder, scheduler-invariant by construction",
+        "ROADMAP \"causal flight recorder\"; DESIGN §4g",
     );
 
     let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
@@ -654,43 +628,34 @@ pub fn trace() {
     // critical-path claims are only meaningful at zero drops.
     const TRACE_CAP: usize = 1 << 16;
 
-    // Fabric workload: same config and fault plan on every engine.
+    // Fabric workload: same config and fault plan on both schedulers.
     let mut cfg = UserScaleConfig::for_k(4, users, 1);
     let mut plan = FaultPlan::new();
     plan.flap(LinkId(3), 40_000, 400_000);
     plan.flap(LinkId(11), 120_000, 500_000);
     cfg.faults = Some(plan);
-    let fabric = |engine: Engine| {
+    let fabric = |kind: SchedulerKind| {
         let registry = Arc::new(Registry::with_capacities(0, TRACE_CAP));
-        let run = run_users_engine(&cfg, engine, Some(registry.clone()));
+        let run = run_users(&cfg, kind, Some(registry.clone()));
         assert!(run.frames_sent > 0, "the fabric must move frames");
         assert_eq!(
             registry.trace().dropped(),
             0,
             "{}: fabric trace dropped spans",
-            engine.label()
+            kind.label()
         );
         registry.trace().sorted_records()
     };
-    let reference = fabric(Engine::Sequential(SchedulerKind::Calendar));
+    let reference = fabric(SchedulerKind::Calendar);
     validate_well_formed(&reference).expect("fabric trace well-formed");
-    let want = encode_trace(&reference, 0);
-    for engine in [
-        Engine::Sequential(SchedulerKind::Heap),
-        Engine::Sharded { shards: 1 },
-        Engine::Sharded { shards: 2 },
-        Engine::Sharded { shards: 4 },
-    ] {
-        let label = engine.label();
-        assert_eq!(
-            encode_trace(&fabric(engine), 0),
-            want,
-            "{label} fabric trace diverged from calendar"
-        );
-    }
+    assert_eq!(
+        encode_trace(&fabric(SchedulerKind::Heap), 0),
+        encode_trace(&reference, 0),
+        "heap fabric trace diverged from calendar"
+    );
     println!(
         "fabric ({users} users, 2 flaps): {} spans, byte-identical across \
-         heap/calendar/sharded(1/2/4) ✓",
+         heap/calendar ✓",
         reference.len()
     );
 
@@ -828,59 +793,31 @@ pub fn decode(input: &str) {
     }
 }
 
-/// Extracts the `sharded_speedup` recorded for arity `k` from a
-/// checked-in `BENCH_sim_scale.json`, by plain string scanning (the
-/// artifact is written one run-entry per line; no JSON parser in-tree).
-fn baseline_sharded_speedup(json: &str, k: u16) -> Option<f64> {
-    let k_tag = format!("\"k\": {k},");
-    let entry = json.lines().find(|l| l.contains(&k_tag))?;
-    let field = "\"sharded_speedup\": ";
-    let start = entry.find(field)? + field.len();
-    let rest = &entry[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Simulator scale report (`repro -- scale`): heap vs. calendar scheduler
-/// vs. sharded-engine events/sec on fat-tree workloads, plus the sharded
-/// coordination cost (rendezvous rounds, chained windows, cross-shard
-/// frames, barrier wait) and `sim_event_lead_ns` percentiles, printed as
-/// one JSON object. Every engine's deterministic fingerprint (events,
-/// frames delivered, final clock) is asserted equal before anything is
-/// reported.
+/// events/sec on fat-tree workloads, plus `sim_event_lead_ns`
+/// percentiles, printed as one JSON object. Both schedulers'
+/// deterministic fingerprints (events, frames delivered, final clock) are
+/// asserted equal before anything is reported.
 ///
 /// Short mode (`P4AUTH_SCALE_SHORT=1`, used by CI) runs only a capped k=4
-/// workload. `P4AUTH_SCALE_SHARDS=<n>` sets the shard count (default 4).
-/// Set `P4AUTH_SCALE_OUT=<path>` to also write the JSON to a file (how
-/// `BENCH_sim_scale.json` is regenerated). Set
-/// `P4AUTH_SCALE_BASELINE=<path>` to a checked-in scale JSON to assert,
-/// per arity present in both runs, that the measured `sharded_speedup`
-/// has not regressed more than 0.2 below the recorded value (the CI
-/// non-regression gate for the sharded engine's overhead ratio).
+/// workload. Set `P4AUTH_SCALE_OUT=<path>` to also write the JSON to a
+/// file (how `BENCH_sim_scale.json` is regenerated).
 pub fn scale() {
-    use crate::scale::{run_scale_engine, Engine, ScaleConfig};
+    use crate::scale::{run_scale, ScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_telemetry::Registry;
     use std::fmt::Write as _;
     use std::sync::Arc;
 
     banner(
-        "scale — simulator events/sec: heap vs. calendar vs. sharded",
-        "ROADMAP \"scale/shard the simulator\"; sim_event_lead_ns from PR 1",
+        "scale — simulator events/sec: heap vs. calendar",
+        "ROADMAP \"scale the simulator\"; sim_event_lead_ns",
     );
 
     let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let shards: usize = std::env::var("P4AUTH_SCALE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let baseline = std::env::var("P4AUTH_SCALE_BASELINE").ok().map(|path| {
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read P4AUTH_SCALE_BASELINE {path}: {e}"))
-    });
     let configs: Vec<(u16, u32)> = if short {
         vec![(4, 50)]
     } else {
@@ -888,89 +825,50 @@ pub fn scale() {
     };
 
     println!(
-        "{:>3} {:>9} {:>14} {:>16} {:>16} {:>10} {:>10} {:>8} {:>8} {:>9}",
-        "k",
-        "events",
-        "heap (ev/s)",
-        "calendar (ev/s)",
-        "sharded (ev/s)",
-        "cal/heap",
-        "shard/cal",
-        "rounds",
-        "rnds/Mev",
-        "lead p50"
+        "{:>3} {:>9} {:>14} {:>16} {:>10} {:>9}",
+        "k", "events", "heap (ev/s)", "calendar (ev/s)", "cal/heap", "lead p50"
     );
     let mut entries = String::new();
     for (i, &(k, frames)) in configs.iter().enumerate() {
         let cfg = ScaleConfig::for_k(k, frames);
         // Best of three: the runs are short enough that a stray scheduler
         // preemption would otherwise swing the reported speedup.
-        let measure = |engine: Engine| {
-            let mut best = run_scale_engine(cfg, engine, None);
+        let measure = |kind: SchedulerKind| {
+            let mut best = run_scale(cfg, kind, None);
             for _ in 1..3 {
-                let run = run_scale_engine(cfg, engine, None);
+                let run = run_scale(cfg, kind, None);
                 if run.wall_ns < best.wall_ns {
                     best = run;
                 }
             }
             best
         };
-        let heap = measure(Engine::Sequential(SchedulerKind::Heap));
-        let cal = measure(Engine::Sequential(SchedulerKind::Calendar));
-        let sharded = measure(Engine::Sharded { shards });
+        let heap = measure(SchedulerKind::Heap);
+        let cal = measure(SchedulerKind::Calendar);
         assert_eq!(
             heap.fingerprint(),
             cal.fingerprint(),
             "schedulers diverged at k={k}"
         );
-        assert_eq!(
-            cal.fingerprint(),
-            sharded.fingerprint(),
-            "sharded engine diverged from sequential at k={k}"
-        );
         // Separate instrumented run for the lead distribution (telemetry
         // adds per-event work, so it stays out of the timed runs).
         let registry = Arc::new(Registry::new());
-        run_scale_engine(
-            cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            Some(registry.clone()),
-        );
+        run_scale(cfg, SchedulerKind::Calendar, Some(registry.clone()));
         let lead = registry
             .snapshot()
             .histogram("sim_event_lead_ns", "")
             .expect("instrumented run records event leads")
             .clone();
         let speedup = cal.events_per_sec() / heap.events_per_sec();
-        let shard_speedup = sharded.events_per_sec() / cal.events_per_sec();
         println!(
-            "{:>3} {:>9} {:>14.0} {:>16.0} {:>16.0} {:>9.2}x {:>9.2}x {:>8} {:>9.1} {:>8}",
+            "{:>3} {:>9} {:>14.0} {:>16.0} {:>9.2}x {:>9}",
             k,
             cal.events,
             heap.events_per_sec(),
             cal.events_per_sec(),
-            sharded.events_per_sec(),
             speedup,
-            shard_speedup,
-            sharded.rounds,
-            sharded.rounds_per_mevents(),
             lead.p50,
         );
-        if let Some(base) = baseline
-            .as_deref()
-            .and_then(|json| baseline_sharded_speedup(json, k))
-        {
-            const MARGIN: f64 = 0.2;
-            assert!(
-                shard_speedup >= base - MARGIN,
-                "sharded speedup regressed at k={k}: measured {shard_speedup:.3} \
-                 vs checked-in baseline {base:.3} (margin {MARGIN})"
-            );
-            println!(
-                "  k={k}: sharded_speedup {shard_speedup:.3} >= baseline \
-                 {base:.3} - {MARGIN} ✓"
-            );
-        }
         if i > 0 {
             entries.push_str(",\n");
         }
@@ -979,23 +877,13 @@ pub fn scale() {
             "    {{\"k\": {k}, \"frames_per_host\": {frames}, \"events\": {}, \
              \"frames_delivered\": {}, \"sim_ns\": {}, \
              \"heap_events_per_sec\": {:.0}, \"calendar_events_per_sec\": {:.0}, \
-             \"sharded_events_per_sec\": {:.0}, \"shards\": {shards}, \
-             \"speedup\": {speedup:.3}, \"sharded_speedup\": {shard_speedup:.3}, \
-             \"sharded_rounds\": {}, \"sharded_windows\": {}, \
-             \"sharded_frames_exchanged\": {}, \"sharded_barrier_wait_ns\": {}, \
-             \"sharded_rounds_per_mevents\": {:.1}, \
+             \"speedup\": {speedup:.3}, \
              \"event_lead_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}}}",
             cal.events,
             cal.frames_delivered,
             cal.sim_ns,
             heap.events_per_sec(),
             cal.events_per_sec(),
-            sharded.events_per_sec(),
-            sharded.rounds,
-            sharded.windows,
-            sharded.frames_exchanged,
-            sharded.barrier_wait_ns,
-            sharded.rounds_per_mevents(),
             lead.p50,
             lead.p90,
             lead.p99,
@@ -1015,8 +903,8 @@ pub fn scale() {
 }
 
 /// Extracts the `ns_per_user` recorded for `users` modelled users from a
-/// checked-in `BENCH_users.json`, by the same line scan
-/// [`baseline_sharded_speedup`] uses (one run entry per line).
+/// checked-in `BENCH_users.json`, by plain string scanning (the artifact
+/// is written one run-entry per line; no JSON parser in-tree).
 fn baseline_ns_per_user(json: &str, users: u64) -> Option<f64> {
     let tag = format!("\"users\": {users},");
     let entry = json.lines().find(|l| l.contains(&tag))?;
@@ -1037,7 +925,7 @@ fn baseline_ns_per_user(json: &str, users: u64) -> Option<f64> {
 /// simulated duration, and a peak-heap proxy from the repro binary's
 /// counting allocator (zero when the report runs without it). The
 /// smallest size is first cross-checked for fingerprint equality across
-/// heap, calendar and sharded engines.
+/// the heap and calendar schedulers.
 ///
 /// Short mode (`P4AUTH_SCALE_SHORT=1`, used by CI) sweeps 1k and 10k
 /// users on fat-tree(4). `P4AUTH_USERS_OUT=<path>` writes the JSON (how
@@ -1048,8 +936,7 @@ fn baseline_ns_per_user(json: &str, users: u64) -> Option<f64> {
 /// value for any size present in both runs (the wall-clock-tolerant
 /// non-regression gate).
 pub fn users() {
-    use crate::scale::Engine;
-    use crate::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
+    use crate::userscale::{run_users, AggregateMode, UserScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
     use std::fmt::Write as _;
 
@@ -1104,32 +991,26 @@ pub fn users() {
         // lookahead: too short and the O(users) sweeps dominate, too long
         // and every frame due inside the window sits pre-scheduled in the
         // event queue. √load balances the two (sweep cost and queue depth
-        // then grow with the same factor — DESIGN.md §4f).
+        // then grow with the same factor — DESIGN.md §4e).
         let window_scale = (load_scale as f64).sqrt().round().max(1.0) as u64;
         if let AggregateMode::Amortized { ref mut window_ns } = cfg.mode {
             *window_ns *= window_scale;
         }
         if i == 0 {
-            // Engine cross-check on the smallest size: one fingerprint for
-            // heap, calendar and the sharded engine, before anything is
-            // timed (this also warms the allocator and page cache).
-            let cal = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
-            let heap = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Heap), None);
-            let sharded = run_users_engine(&cfg, Engine::Sharded { shards: 4 }, None);
+            // Scheduler cross-check on the smallest size: one fingerprint
+            // for heap and calendar, before anything is timed (this also
+            // warms the allocator and page cache).
+            let cal = run_users(&cfg, SchedulerKind::Calendar, None);
+            let heap = run_users(&cfg, SchedulerKind::Heap, None);
             assert_eq!(
                 cal.fingerprint(),
                 heap.fingerprint(),
                 "schedulers diverged at {users} users"
             );
-            assert_eq!(
-                cal.fingerprint(),
-                sharded.fingerprint(),
-                "sharded engine diverged at {users} users"
-            );
         }
         crate::alloc::reset_peak();
         let live_before = crate::alloc::live_bytes();
-        let run = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        let run = run_users(&cfg, SchedulerKind::Calendar, None);
         let peak = crate::alloc::peak_bytes().saturating_sub(live_before);
         let frames_per_sec = run.frames_sent as f64 / (run.wall_ns.max(1) as f64 / 1e9);
         println!(
@@ -1281,7 +1162,7 @@ pub fn scenarios() {
 
     banner(
         "scenarios — churn + attack campaigns with per-scenario defence invariants",
-        "ROADMAP \"fault injection\"; DESIGN §4g",
+        "ROADMAP \"fault injection\"; DESIGN §4f",
     );
 
     let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");

@@ -28,15 +28,10 @@
 //!   pluggable [`sched::Scheduler`] — a calendar queue by default, with the
 //!   reference binary heap available for differential testing. Both drain
 //!   events in the identical `(time, seq)` order.
-//! * **Sharded execution** ([`shard`]): the node set can be partitioned
-//!   across worker threads (pod-aligned on fat-trees), synchronized with
-//!   conservative lookahead derived from link latency floors. The merge
-//!   order reproduces the sequential tiebreak, so sharded runs are
-//!   bit-identical to single-threaded ones.
 //! * **Fault injection** ([`fault`]): deterministic churn schedules — link
 //!   flaps, correlated groups, switch/pod failure and recovery, boot-storm
 //!   stagger — installed as first-class sim events so fault-injected runs
-//!   drain identically on every engine.
+//!   drain identically on both schedulers.
 //!
 //! ```
 //! use p4auth_netsim::frame::FrameBytes;
@@ -76,7 +71,6 @@ pub mod fattree;
 pub mod fault;
 pub mod frame;
 pub mod sched;
-pub mod shard;
 pub mod sim;
 pub mod time;
 pub mod timeline;
@@ -86,7 +80,6 @@ pub use fattree::FatTree;
 pub use fault::{BootStorm, FaultPlan};
 pub use frame::FrameBytes;
 pub use sched::SchedulerKind;
-pub use shard::{ShardPlan, ShardRunReport, ShardedSimulator};
 pub use sim::{Outbox, SimNode, Simulator, TapAction, TapFrame};
 pub use time::SimTime;
 pub use timeline::{Timeline, TimelineEntry};

@@ -171,3 +171,25 @@ proptest! {
         prop_assert_eq!(master_a, master_b);
     }
 }
+
+// Shrunk counterexamples once found by `siphash_incremental` and
+// `mac_roundtrip`, pinned as plain tests so they run on every build.
+
+#[test]
+fn siphash_incremental_split_at_end_of_53_bytes() {
+    let mut data = vec![0u8; 53];
+    data[52] = 1;
+    let k = Key64::new(0);
+    let mut h = HalfSipHasher::new(k, Rounds::STANDARD);
+    h.update(&data[..53]);
+    h.update(&data[53..]);
+    assert_eq!(h.finalize(), half_siphash24(k, &data));
+}
+
+#[test]
+fn mac_roundtrip_zero_key_one_zero_byte() {
+    let mac = HalfSipHashMac::default();
+    let k = Key64::new(0);
+    let d = mac.compute(k, &[&[0u8]]);
+    assert!(mac.verify(k, &[&[0u8]], d));
+}

@@ -21,16 +21,16 @@
 //! Defence-phase fault plans touch only DP-DP links: the C-DP control
 //! channel models an out-of-band management network (the common
 //! deployment), so recovery-time `portKeyUpdate` traffic always has a
-//! path — see DESIGN §4g for the in-band discussion.
+//! path — see DESIGN §4f for the in-band discussion.
 //!
 //! Every phase is deterministic, so two runs of [`run_campaigns`] produce
 //! byte-identical verdicts — the property `repro -- scenarios` gates in
 //! CI against `BENCH_scenarios.json`.
 
 use crate::harness::{is_dp_dp_link, Network};
-use crate::scaleload::{Engine, SEND_TIMER};
+use crate::scaleload::SEND_TIMER;
 use crate::userscale::{
-    run_users_engine, AggregateHostNode, AggregateMode, CompromisedUser, UserScaleConfig,
+    run_users, AggregateHostNode, AggregateMode, CompromisedUser, UserScaleConfig,
 };
 use p4auth_attacks::replay;
 use p4auth_controller::{ControllerConfig, ControllerEvent, DefenceConfig};
@@ -44,7 +44,7 @@ use p4auth_netsim::topology::{LinkId, Topology};
 use p4auth_telemetry::{Registry, SpanKind};
 use p4auth_wire::body::AlertKind;
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
-use std::sync::atomic::AtomicU64;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Campaign sizing knobs (the invariants themselves never change).
@@ -170,8 +170,8 @@ pub fn run_campaigns(cfg: &CampaignConfig) -> Vec<CampaignVerdict> {
 }
 
 /// The five campaigns' fabric-phase fault plans, keyed by campaign name.
-/// Exposed so the engine-differential tests drive exactly the plans the
-/// report runs (heap, calendar, sharded — same fingerprint).
+/// Exposed so the scheduler-differential tests drive exactly the plans
+/// the report runs (heap and calendar — same fingerprint).
 pub fn fabric_plans() -> Vec<(&'static str, FaultPlan)> {
     let ft = FatTree::new(K);
     let topo = ft.build(1_500);
@@ -222,7 +222,7 @@ const DEFENCE_WINDOW_NS: u64 = 200_000_000;
 /// Trace-span buffer capacity for defence phases. Sized so the default
 /// campaign configurations never drop a span (asserted by the
 /// `trace_no_spans_dropped` invariant below) — zero drops is what makes
-/// the exported trace bit-identical across engines.
+/// the exported trace complete, so it is bit-identical across schedulers.
 const CAMPAIGN_TRACE_CAPACITY: usize = 16_384;
 /// Trace-span source id for the campaign harness itself (phase root
 /// spans); above the controller's reserved `0xFE..` range and any node.
@@ -235,7 +235,7 @@ fn fabric_phase(cfg: &CampaignConfig, plan: FaultPlan, checks: &mut Checks) -> F
     let mut ucfg = UserScaleConfig::for_k(K, cfg.users, cfg.frames_per_user);
     let planned = plan.len() as u64;
     ucfg.faults = Some(plan);
-    let run = run_users_engine(&ucfg, Engine::Sequential(SchedulerKind::Calendar), None);
+    let run = run_users(&ucfg, SchedulerKind::Calendar, None);
     let accounted =
         run.frames_delivered + run.stats.frames_undeliverable + run.stats.frames_tapped_dropped;
     checks.require(
@@ -302,8 +302,8 @@ fn campaign_phase_span(registry: &Registry, idx: u64, start_ns: u64, end_ns: u64
 
 /// Shared per-campaign telemetry wrap-up: asserts the bounded trace
 /// buffer dropped nothing at the default campaign configuration (the
-/// zero-drop property is what keeps traces bit-identical across
-/// engines) and extracts the mitigation / rollover latency percentiles
+/// zero-drop property is what keeps traces complete and bit-identical
+/// across schedulers) and extracts the mitigation / rollover latency percentiles
 /// the scenarios report surfaces. Returns
 /// `[mitigation_p50, mitigation_p99, rollover_p50, rollover_p99]`.
 fn finish_telemetry(registry: &Registry, checks: &mut Checks) -> [Option<u64>; 4] {
@@ -336,10 +336,10 @@ fn finish_telemetry(registry: &Registry, checks: &mut Checks) -> [Option<u64>; 4
 
 /// The flight-recorder workload behind `repro -- trace`: campaign 1's
 /// defence phase (digest flood on a booted, defended fat tree) with
-/// tracing enabled, on a sequential engine of the given scheduler kind.
+/// tracing enabled, on the given scheduler kind.
 /// Returns the registry holding the recorded spans — deterministic, and
 /// identical between the heap and calendar schedulers, so callers can
-/// byte-diff the encoded trace across engines.
+/// byte-diff the encoded trace across them.
 pub fn traced_defence_probe(kind: SchedulerKind, trace_capacity: usize) -> Arc<Registry> {
     let registry = Arc::new(Registry::with_capacities(2048, trace_capacity));
     let mut net = Network::build_with_scheduler(
@@ -396,15 +396,7 @@ fn arm_flood(net: &mut Network, ft: FatTree, boot_offset_ns: u64) -> SwitchId {
         frames: 8,
         gap_ns: 10_000,
     });
-    let agg = AggregateHostNode::new(
-        &ucfg,
-        ft,
-        0,
-        0,
-        50,
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(AtomicU64::new(0)),
-    );
+    let agg = AggregateHostNode::new(&ucfg, ft, 0, 0, 50, Rc::default(), Rc::default());
     let first = agg.first_due_ns().expect("the compromised user is active");
     net.sim.register_node(host, Box::new(agg));
     net.sim

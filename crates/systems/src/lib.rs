@@ -28,8 +28,8 @@
 //! * [`flowradar`] — a FlowRadar-style IBLT measurement system (the
 //!   Table I "Measurement" row as a working system).
 //! * [`scaleload`] — the fat-tree scale workload behind `repro -- scale`
-//!   and the `sim_scale` bench, runnable on the sequential schedulers or
-//!   the sharded engine with a bit-identical fingerprint.
+//!   and the `sim_scale` bench, with a bit-identical fingerprint on the
+//!   heap and calendar schedulers.
 //! * [`userscale`] — host aggregation: one [`SimNode`](p4auth_netsim::SimNode)
 //!   modelling thousands of edge users in flat per-user arrays, scaling
 //!   `repro -- users` to millions of modelled users at near-constant

@@ -1,13 +1,12 @@
 //! Fat-tree scale workload: the events/sec measurement behind the
-//! calendar-queue scheduler and the sharded engine (`repro -- scale` and
-//! the `sim_scale` bench).
+//! calendar-queue scheduler (`repro -- scale` and the `sim_scale` bench).
 //!
 //! Hundreds of switches forward a fig19-style register traffic mix (two
 //! 34-byte reads per 58-byte write) between random host pairs over
 //! `Topology::fat_tree(k)`. Forwarding is deterministic-ECMP arithmetic
-//! ([`FatTree::next_hop`]) so the run is bit-identical across schedulers
-//! *and* across shard counts, and the measurement isolates the event
-//! queue plus the simulator's dense hot path.
+//! ([`FatTree::next_hop`]) so the run is bit-identical across schedulers,
+//! and the measurement isolates the event queue plus the simulator's
+//! dense hot path.
 //!
 //! The module lives in `p4auth-systems` (rather than the bench crate) so
 //! the CI smoke runner, the Criterion bench and the `repro` reporter all
@@ -16,14 +15,14 @@
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::frame::FrameBytes;
 use p4auth_netsim::sched::SchedulerKind;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
 use p4auth_netsim::sim::{Outbox, SimNode, Simulator, TopologyEvent};
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::timeline::Timeline;
 use p4auth_primitives::rng::{RandomSource, SplitMix64};
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Fig19-style request sizes: header + digest + read body / write body.
@@ -65,34 +64,9 @@ impl ScaleConfig {
     }
 }
 
-/// Which execution engine a scale run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Single-threaded run on the given scheduler.
-    Sequential(SchedulerKind),
-    /// Sharded run: pod-aligned partition, conservative safe-window
-    /// rounds, always on the calendar scheduler per shard.
-    Sharded {
-        /// Worker shard count.
-        shards: usize,
-    },
-}
-
-impl Engine {
-    /// Short human-readable label (`heap`, `calendar`, `sharded-4`).
-    pub fn label(&self) -> String {
-        match self {
-            Engine::Sequential(kind) => kind.label().to_string(),
-            Engine::Sharded { shards } => format!("sharded-{shards}"),
-        }
-    }
-}
-
 /// Result of one scale run.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleRun {
-    /// Engine the run used.
-    pub engine: Engine,
     /// Events processed (pops).
     pub events: u64,
     /// Frames that reached their destination host.
@@ -101,17 +75,6 @@ pub struct ScaleRun {
     pub sim_ns: u64,
     /// Wall-clock duration of the run in ns.
     pub wall_ns: u64,
-    /// Coordinator rendezvous rounds (0 for sequential engines).
-    pub rounds: u64,
-    /// Safe windows granted across all rounds (0 for sequential engines;
-    /// ≥ `rounds` when chaining is on).
-    pub windows: u64,
-    /// Cross-shard frames exchanged through peer mailboxes (0 for
-    /// sequential engines).
-    pub frames_exchanged: u64,
-    /// Wall-clock ns the coordinator spent waiting at rendezvous barriers
-    /// (0 for sequential engines; nondeterministic, like `wall_ns`).
-    pub barrier_wait_ns: u64,
 }
 
 impl ScaleRun {
@@ -120,14 +83,8 @@ impl ScaleRun {
         self.events as f64 / (self.wall_ns.max(1) as f64 / 1e9)
     }
 
-    /// Coordination cost normalized by work: rendezvous rounds per million
-    /// events processed. 0 for sequential engines.
-    pub fn rounds_per_mevents(&self) -> f64 {
-        self.rounds as f64 / (self.events.max(1) as f64 / 1e6)
-    }
-
     /// The deterministic portion of the run (everything but wall time) —
-    /// must be identical across schedulers and shard counts.
+    /// must be identical across schedulers.
     pub fn fingerprint(&self) -> (u64, u64, u64) {
         (self.events, self.frames_delivered, self.sim_ns)
     }
@@ -180,8 +137,7 @@ impl SimNode for Forwarder {
 }
 
 /// A host: transmits its share of the traffic mix on a timer, sinks and
-/// counts whatever arrives. The arrival counter is atomic so the same
-/// node type serves both the sequential and the sharded engine.
+/// counts whatever arrives.
 struct Host {
     index: u16,
     remaining: u32,
@@ -189,14 +145,14 @@ struct Host {
     interval_ns: u64,
     rng: SplitMix64,
     ft: FatTree,
-    arrivals: Arc<AtomicU64>,
+    arrivals: Rc<Cell<u64>>,
 }
 
 pub(crate) const SEND_TIMER: u64 = 1;
 
 impl SimNode for Host {
     fn on_frame(&mut self, _now: SimTime, _ingress: PortId, _payload: FrameBytes, _: &mut Outbox) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
+        self.arrivals.set(self.arrivals.get() + 1);
     }
 
     fn on_timer(&mut self, _now: SimTime, _timer_id: u64, out: &mut Outbox) {
@@ -239,7 +195,7 @@ fn forwarder(cfg: &ScaleConfig, ft: FatTree, id: SwitchId) -> Box<Forwarder> {
 /// A fabric forwarder for other workloads in this crate (`userscale`
 /// reuses the exact scale-workload switch so host aggregation changes
 /// nothing about the fabric).
-pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<dyn SimNode + Send> {
+pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<dyn SimNode> {
     Box::new(Forwarder {
         ft,
         id,
@@ -248,7 +204,7 @@ pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<d
     })
 }
 
-fn host(cfg: &ScaleConfig, ft: FatTree, h: u16, arrivals: &Arc<AtomicU64>) -> Box<Host> {
+fn host(cfg: &ScaleConfig, ft: FatTree, h: u16, arrivals: &Rc<Cell<u64>>) -> Box<Host> {
     Box::new(Host {
         index: h,
         remaining: cfg.frames_per_host,
@@ -265,173 +221,74 @@ pub(crate) fn boot_delay(h: u16) -> u64 {
     1 + (h as u64 % 97) * 11
 }
 
-/// Runs the workload on the given engine. Pass a registry to collect
-/// `sim_event_lead_ns` (instrumentation adds per-event work, so keep
-/// timed comparison runs uninstrumented).
-pub fn run_scale_engine(
-    cfg: ScaleConfig,
-    engine: Engine,
+/// Builds the workload's simulator on `kind` — forwarders, hosts and
+/// their boot timers — and returns it with the shared arrival counter.
+/// The registry, if any, is attached first so boot timers are counted.
+fn build(
+    cfg: &ScaleConfig,
+    kind: SchedulerKind,
     registry: Option<Arc<Registry>>,
-) -> ScaleRun {
+) -> (Simulator, Rc<Cell<u64>>) {
     let ft = FatTree::new(cfg.k);
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let (events, sim_ns, wall_ns, coord) = match engine {
-        Engine::Sequential(kind) => {
-            let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-            if let Some(r) = registry {
-                sim.set_telemetry(r);
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            let start = std::time::Instant::now();
-            let events = sim.run_to_completion();
-            (
-                events,
-                sim.now().as_ns(),
-                start.elapsed().as_nanos() as u64,
-                (0, 0, 0, 0),
-            )
-        }
-        Engine::Sharded { shards } => {
-            let topo = ft.build(cfg.latency_ns);
-            let plan = ShardPlan::pod_aligned(&topo, shards);
-            let mut sim = ShardedSimulator::new(topo, plan);
-            if let Some(r) = registry {
-                sim.set_telemetry(r);
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            let start = std::time::Instant::now();
-            let report = sim.run();
-            (
-                report.events,
-                report.now.as_ns(),
-                start.elapsed().as_nanos() as u64,
-                (
-                    report.rounds,
-                    report.windows,
-                    report.frames_exchanged,
-                    report.barrier_wait_ns,
-                ),
-            )
-        }
-    };
-    let (rounds, windows, frames_exchanged, barrier_wait_ns) = coord;
+    let arrivals = Rc::new(Cell::new(0));
+    let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
+    if let Some(r) = registry {
+        sim.set_telemetry(r);
+    }
+    for id in 1..=ft.switch_count() {
+        let id = SwitchId::new(id);
+        sim.register_node(id, forwarder(cfg, ft, id));
+    }
+    for h in 0..ft.host_count() {
+        sim.register_node(ft.host(h), host(cfg, ft, h, &arrivals));
+        sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
+    }
+    (sim, arrivals)
+}
+
+/// Runs the workload to completion on `sim`, timing it.
+fn finish(sim: &mut Simulator, arrivals: &Cell<u64>) -> ScaleRun {
+    let start = std::time::Instant::now();
+    let events = sim.run_to_completion();
+    let wall_ns = start.elapsed().as_nanos() as u64;
     ScaleRun {
-        engine,
         events,
-        frames_delivered: arrivals.load(Ordering::Relaxed),
-        sim_ns,
+        frames_delivered: arrivals.get(),
+        sim_ns: sim.now().as_ns(),
         wall_ns,
-        rounds,
-        windows,
-        frames_exchanged,
-        barrier_wait_ns,
     }
 }
 
-/// Runs the workload single-threaded on the given scheduler (the original
-/// entry point; see [`run_scale_engine`] for the sharded variant).
+/// Runs the workload on the given scheduler. Pass a registry to collect
+/// `sim_event_lead_ns` (instrumentation adds per-event work, so keep
+/// timed comparison runs uninstrumented).
 pub fn run_scale(
     cfg: ScaleConfig,
     kind: SchedulerKind,
     registry: Option<Arc<Registry>>,
 ) -> ScaleRun {
-    run_scale_engine(cfg, Engine::Sequential(kind), registry)
+    let (mut sim, arrivals) = build(&cfg, kind, registry);
+    finish(&mut sim, &arrivals)
 }
 
 /// Runs the workload with periodic telemetry export every `interval_ns`
 /// of sim-time, returning the run result and the recorded [`Timeline`].
 ///
-/// The timeline is bit-identical across every engine — heap, calendar
-/// and any shard count — because capture is driven by the sim clock and
-/// the sharded merge reproduces the sequential registry state at every
-/// grid boundary (asserted by `timeline_is_bit_identical_across_engines`
-/// below and by the CI determinism step via `repro -- timeline`).
+/// The timeline is bit-identical across the heap and calendar schedulers
+/// because capture is driven by the sim clock (asserted by
+/// `timeline_is_bit_identical_across_schedulers` below and by the CI
+/// determinism step via `repro -- timeline`).
 pub fn run_scale_timeline(
     cfg: ScaleConfig,
-    engine: Engine,
+    kind: SchedulerKind,
     interval_ns: u64,
 ) -> (ScaleRun, Timeline) {
-    let ft = FatTree::new(cfg.k);
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let (events, sim_ns, wall_ns, timeline, coord) = match engine {
-        Engine::Sequential(kind) => {
-            let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-            sim.set_telemetry(Arc::new(Registry::new()));
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            // After boot timers: setup pushes land in the baseline, the
-            // same cut the sharded workers use.
-            sim.set_export_interval(interval_ns);
-            let start = std::time::Instant::now();
-            let events = sim.run_to_completion();
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            let timeline = sim.take_timeline().expect("export interval was set");
-            (events, sim.now().as_ns(), wall_ns, timeline, (0, 0, 0, 0))
-        }
-        Engine::Sharded { shards } => {
-            let topo = ft.build(cfg.latency_ns);
-            let plan = ShardPlan::pod_aligned(&topo, shards);
-            let mut sim = ShardedSimulator::new(topo, plan);
-            sim.set_export_interval(interval_ns);
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            let start = std::time::Instant::now();
-            let (report, timeline) = sim.run_timeline();
-            (
-                report.events,
-                report.now.as_ns(),
-                start.elapsed().as_nanos() as u64,
-                timeline,
-                (
-                    report.rounds,
-                    report.windows,
-                    report.frames_exchanged,
-                    report.barrier_wait_ns,
-                ),
-            )
-        }
-    };
-    let (rounds, windows, frames_exchanged, barrier_wait_ns) = coord;
-    (
-        ScaleRun {
-            engine,
-            events,
-            frames_delivered: arrivals.load(Ordering::Relaxed),
-            sim_ns,
-            wall_ns,
-            rounds,
-            windows,
-            frames_exchanged,
-            barrier_wait_ns,
-        },
-        timeline,
-    )
+    let (mut sim, arrivals) = build(&cfg, kind, Some(Arc::new(Registry::new())));
+    // After boot timers: setup pushes land in the baseline.
+    sim.set_export_interval(interval_ns);
+    let run = finish(&mut sim, &arrivals);
+    let timeline = sim.take_timeline().expect("export interval was set");
+    (run, timeline)
 }
 
 #[cfg(test)]
@@ -452,41 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_agrees_on_the_scale_workload() {
-        let cfg = ScaleConfig::for_k(4, 20);
-        let cal = run_scale(cfg, SchedulerKind::Calendar, None);
-        for shards in [1, 2, 4] {
-            let sharded = run_scale_engine(cfg, Engine::Sharded { shards }, None);
-            assert_eq!(
-                cal.fingerprint(),
-                sharded.fingerprint(),
-                "sharded-{shards} diverged from calendar"
-            );
-        }
-    }
-
-    #[test]
-    fn timeline_is_bit_identical_across_engines() {
+    fn timeline_is_bit_identical_across_schedulers() {
         let cfg = ScaleConfig::for_k(4, 30);
         let interval_ns = 2_000;
-        let (heap_run, heap_tl) =
-            run_scale_timeline(cfg, Engine::Sequential(SchedulerKind::Heap), interval_ns);
-        let (cal_run, cal_tl) = run_scale_timeline(
-            cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            interval_ns,
-        );
-        let (shard_run, shard_tl) =
-            run_scale_timeline(cfg, Engine::Sharded { shards: 4 }, interval_ns);
+        let (heap_run, heap_tl) = run_scale_timeline(cfg, SchedulerKind::Heap, interval_ns);
+        let (cal_run, cal_tl) = run_scale_timeline(cfg, SchedulerKind::Calendar, interval_ns);
         assert_eq!(heap_run.fingerprint(), cal_run.fingerprint());
-        assert_eq!(heap_run.fingerprint(), shard_run.fingerprint());
-        // The serialized timelines are byte-identical across engines.
+        // The serialized timelines are byte-identical across schedulers.
         let json = heap_tl.to_json();
         let bin = heap_tl.to_bin();
         assert_eq!(cal_tl.to_json(), json, "calendar timeline diverged");
-        assert_eq!(shard_tl.to_json(), json, "sharded timeline diverged");
         assert_eq!(cal_tl.to_bin(), bin);
-        assert_eq!(shard_tl.to_bin(), bin);
         // The run spans many boundaries and actually emits deltas.
         assert!(
             heap_tl.entries.len() >= 3,

@@ -39,21 +39,22 @@
 //! [`SimNode`]: p4auth_netsim::SimNode
 
 use crate::scaleload::{
-    fabric_forwarder, Engine, ScaleConfig, READ_FRAME_BYTES, SEND_TIMER, WRITE_FRAME_BYTES,
+    fabric_forwarder, ScaleConfig, READ_FRAME_BYTES, SEND_TIMER, WRITE_FRAME_BYTES,
 };
 use p4auth_attacks::digest_flood;
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::fault::FaultPlan;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
+use p4auth_netsim::sched::SchedulerKind;
 use p4auth_netsim::sim::{Outbox, SimNode, SimStats, Simulator};
 use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
 use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalMix};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// How an aggregate turns per-user due times into simulator events.
@@ -115,7 +116,7 @@ pub struct UserScaleConfig {
     /// Optional compromised user (see [`CompromisedUser`]).
     pub compromised: Option<CompromisedUser>,
     /// Optional deterministic fault schedule: link churn installed as
-    /// first-class sim events on every engine, plus a boot-storm stagger
+    /// first-class sim events, plus a boot-storm stagger
     /// applied to the aggregates' first timers.
     pub faults: Option<FaultPlan>,
 }
@@ -200,24 +201,23 @@ pub struct AggregateHostNode {
     credits: Vec<u16>,
     // ---------------------------------------------------------------------
     active: u64,
-    arrivals: Arc<AtomicU64>,
-    sent_total: Arc<AtomicU64>,
+    arrivals: Rc<Cell<u64>>,
+    sent_total: Rc<Cell<u64>>,
     compromised: Option<CompromisedState>,
 }
 
 impl AggregateHostNode {
     /// Builds the aggregate for host slot `slot`, modelling `users` users
     /// with global indices `base_user..base_user + users`. `arrivals` and
-    /// `sent_total` are shared counters the runner reads after the run
-    /// (atomics so the same node type serves the sharded engine).
+    /// `sent_total` are shared counters the runner reads after the run.
     pub fn new(
         cfg: &UserScaleConfig,
         ft: FatTree,
         slot: u16,
         base_user: u64,
         users: u64,
-        arrivals: Arc<AtomicU64>,
-        sent_total: Arc<AtomicU64>,
+        arrivals: Rc<Cell<u64>>,
+        sent_total: Rc<Cell<u64>>,
     ) -> Self {
         let n = users as usize;
         let mut rng = Vec::with_capacity(n);
@@ -377,7 +377,7 @@ impl AggregateHostNode {
                 self.advance(u, now_ns);
             }
         }
-        self.sent_total.fetch_add(sent, Ordering::Relaxed);
+        self.sent_total.set(self.sent_total.get() + sent);
         if let Some(min) = self.min_due() {
             out.set_timer(SEND_TIMER, min - now_ns);
         }
@@ -410,7 +410,7 @@ impl AggregateHostNode {
             }
         }
         self.sent_total
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            .set(self.sent_total.get() + batch.len() as u64);
         out.send_batch(PortId::new(1), batch);
         if self.active > 0 {
             out.set_timer(SEND_TIMER, window_ns.max(1));
@@ -420,11 +420,11 @@ impl AggregateHostNode {
 
 impl SimNode for AggregateHostNode {
     fn on_frame(&mut self, _now: SimTime, _ingress: PortId, payload: FrameBytes, _: &mut Outbox) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
+        self.arrivals.set(self.arrivals.get() + 1);
         // Modelled per-user anti-replay window: attribute the delivery by
         // flow label and slide that user's 64-frame bitmap. (Delivered
         // scale frames carry no user field — attribution is a model, and
-        // documented as such in DESIGN.md §4f.)
+        // documented as such in DESIGN.md §4e.)
         let n = self.replay_win.len();
         if n > 0 && payload.len() >= 3 {
             let u = payload[2] as usize % n;
@@ -448,8 +448,6 @@ impl SimNode for AggregateHostNode {
 /// Result of one user-scale run.
 #[derive(Clone, Copy, Debug)]
 pub struct UserScaleRun {
-    /// Engine the run used.
-    pub engine: Engine,
     /// Total modelled users.
     pub users: u64,
     /// Aggregate nodes (one per host slot).
@@ -465,7 +463,7 @@ pub struct UserScaleRun {
     /// Wall-clock duration of the run in ns.
     pub wall_ns: u64,
     /// The simulator's drop taxonomy and event tallies (deterministic;
-    /// identical across engines). `frames_sent == frames_delivered +
+    /// identical across schedulers). `frames_sent == frames_delivered +
     /// stats.frames_undeliverable + stats.frames_tapped_dropped` accounts
     /// for every frame a completed run injected — no silent loss.
     pub stats: SimStats,
@@ -473,7 +471,7 @@ pub struct UserScaleRun {
 
 impl UserScaleRun {
     /// The deterministic portion of the run — identical across schedulers
-    /// and shard counts for a given mode.
+    /// for a given mode.
     pub fn fingerprint(&self) -> (u64, u64, u64, u64) {
         (
             self.events,
@@ -514,23 +512,37 @@ fn slot_span(users: u64, slots: u16, s: u16) -> (u64, u64) {
     }
 }
 
-/// Runs the user-scale workload on the given engine. With a registry the
-/// run also publishes per-aggregate `userscale_users` / `userscale_frames_sent`
-/// gauges (labelled `agg<slot>`) after completion, plus the simulator's own
-/// instrumentation during it.
-pub fn run_users_engine(
+/// Runs the user-scale workload on the given scheduler. With a registry
+/// the run also publishes per-aggregate `userscale_users` /
+/// `userscale_frames_sent` gauges (labelled `agg<slot>`) after completion,
+/// plus the simulator's own instrumentation during it.
+pub fn run_users(
     cfg: &UserScaleConfig,
-    engine: Engine,
+    kind: SchedulerKind,
     registry: Option<Arc<Registry>>,
 ) -> UserScaleRun {
     let ft = FatTree::new(cfg.k);
     let slots = ft.host_count();
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let sent: Vec<Arc<AtomicU64>> = (0..slots).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let arrivals = Rc::new(Cell::new(0));
+    let sent: Vec<Rc<Cell<u64>>> = (0..slots).map(|_| Rc::default()).collect();
     let spans: Vec<(u64, u64)> = (0..slots).map(|s| slot_span(cfg.users, slots, s)).collect();
-    let make_agg = |s: u16| {
+
+    // Boot-storm stagger: wave offsets added to each aggregate's first
+    // timer.
+    let storm = cfg.faults.as_ref().and_then(|p| p.boot_storm());
+    let boot_at = |s: u16, first: u64| first + storm.map_or(0, |st| st.offset_for(s));
+
+    let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
+    if let Some(r) = &registry {
+        sim.set_telemetry(r.clone());
+    }
+    for id in 1..=ft.switch_count() {
+        let id = SwitchId::new(id);
+        sim.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
+    }
+    for s in 0..slots {
         let (base, n) = spans[s as usize];
-        AggregateHostNode::new(
+        let agg = AggregateHostNode::new(
             cfg,
             ft,
             s,
@@ -538,76 +550,19 @@ pub fn run_users_engine(
             n,
             arrivals.clone(),
             sent[s as usize].clone(),
-        )
-    };
-
-    // Boot-storm stagger: wave offsets added to each aggregate's first
-    // timer, identically on every engine.
-    let storm = cfg.faults.as_ref().and_then(|p| p.boot_storm());
-    let boot_at = |s: u16, first: u64| first + storm.map_or(0, |st| st.offset_for(s));
-
-    let (events, sim_ns, wall_ns, stats) = match engine {
-        Engine::Sequential(kind) => {
-            let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-            if let Some(r) = &registry {
-                sim.set_telemetry(r.clone());
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
-            }
-            for s in 0..slots {
-                let agg = make_agg(s);
-                let first = agg.first_due_ns();
-                sim.register_node(ft.host(s), Box::new(agg));
-                if let Some(at) = first {
-                    sim.schedule_timer(ft.host(s), SEND_TIMER, boot_at(s, at));
-                }
-            }
-            if let Some(plan) = &cfg.faults {
-                sim.install_fault_plan(plan);
-            }
-            let start = std::time::Instant::now();
-            let events = sim.run_to_completion();
-            (
-                events,
-                sim.now().as_ns(),
-                start.elapsed().as_nanos() as u64,
-                sim.stats(),
-            )
+        );
+        let first = agg.first_due_ns();
+        sim.register_node(ft.host(s), Box::new(agg));
+        if let Some(at) = first {
+            sim.schedule_timer(ft.host(s), SEND_TIMER, boot_at(s, at));
         }
-        Engine::Sharded { shards } => {
-            let topo = ft.build(cfg.latency_ns);
-            let plan = ShardPlan::pod_aligned(&topo, shards);
-            let mut sim = ShardedSimulator::new(topo, plan);
-            if let Some(r) = &registry {
-                sim.set_telemetry(r.clone());
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
-            }
-            for s in 0..slots {
-                let agg = make_agg(s);
-                let first = agg.first_due_ns();
-                sim.register_node(ft.host(s), Box::new(agg));
-                if let Some(at) = first {
-                    sim.schedule_timer(ft.host(s), SEND_TIMER, boot_at(s, at));
-                }
-            }
-            if let Some(plan) = &cfg.faults {
-                sim.set_fault_plan(plan.clone());
-            }
-            let start = std::time::Instant::now();
-            let report = sim.run();
-            (
-                report.events,
-                report.now.as_ns(),
-                start.elapsed().as_nanos() as u64,
-                report.stats,
-            )
-        }
-    };
+    }
+    if let Some(plan) = &cfg.faults {
+        sim.install_fault_plan(plan);
+    }
+    let start = std::time::Instant::now();
+    let events = sim.run_to_completion();
+    let wall_ns = start.elapsed().as_nanos() as u64;
 
     if let Some(r) = &registry {
         for s in 0..slots {
@@ -616,29 +571,27 @@ pub fn run_users_engine(
             r.set_gauge_with(
                 "userscale_frames_sent",
                 &label,
-                sent[s as usize].load(Ordering::Relaxed) as i64,
+                sent[s as usize].get() as i64,
             );
         }
     }
 
     UserScaleRun {
-        engine,
         users: cfg.users,
         aggregates: slots,
         events,
-        frames_sent: sent.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-        frames_delivered: arrivals.load(Ordering::Relaxed),
-        sim_ns,
+        frames_sent: sent.iter().map(|c| c.get()).sum(),
+        frames_delivered: arrivals.get(),
+        sim_ns: sim.now().as_ns(),
         wall_ns,
-        stats,
+        stats: sim.stats(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaleload::{boot_delay, frame_dst, run_scale_engine};
-    use p4auth_netsim::sched::SchedulerKind;
+    use crate::scaleload::{boot_delay, frame_dst, run_scale};
 
     #[test]
     fn user_boot_extends_host_boot_delay() {
@@ -651,15 +604,7 @@ mod tests {
     fn emitted_frames_decode_with_the_scale_header_layout() {
         let cfg = UserScaleConfig::for_k(4, 16, 1);
         let ft = FatTree::new(4);
-        let mut agg = AggregateHostNode::new(
-            &cfg,
-            ft,
-            3,
-            3,
-            1,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
-        );
+        let mut agg = AggregateHostNode::new(&cfg, ft, 3, 3, 1, Rc::default(), Rc::default());
         let frame = agg.build_frame(0);
         let dst = frame_dst(&frame);
         assert_ne!(dst, ft.host(3), "a user never sends to its own slot");
@@ -675,16 +620,8 @@ mod tests {
 
         let scale_reg = Arc::new(Registry::new());
         let users_reg = Arc::new(Registry::new());
-        let scale = run_scale_engine(
-            scale_cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            Some(scale_reg.clone()),
-        );
-        let users = run_users_engine(
-            &users_cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            Some(users_reg.clone()),
-        );
+        let scale = run_scale(scale_cfg, SchedulerKind::Calendar, Some(scale_reg.clone()));
+        let users = run_users(&users_cfg, SchedulerKind::Calendar, Some(users_reg.clone()));
 
         // Same events, same deliveries, same final clock.
         assert_eq!(
@@ -710,16 +647,8 @@ mod tests {
         let mut amortized_cfg = exact_cfg.clone();
         amortized_cfg.mode = AggregateMode::Amortized { window_ns: 1_000 };
 
-        let exact = run_users_engine(
-            &exact_cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            None,
-        );
-        let amortized = run_users_engine(
-            &amortized_cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            None,
-        );
+        let exact = run_users(&exact_cfg, SchedulerKind::Calendar, None);
+        let amortized = run_users(&amortized_cfg, SchedulerKind::Calendar, None);
         // Frames still *arrive* at their exact-mode instants (send_delayed
         // preserves due times), so deliveries and the final clock agree;
         // only the timer/event accounting differs.
@@ -735,8 +664,8 @@ mod tests {
     #[test]
     fn amortized_runs_are_deterministic_across_schedulers() {
         let cfg = UserScaleConfig::for_k(4, 1_000, 3);
-        let heap = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Heap), None);
-        let cal = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        let heap = run_users(&cfg, SchedulerKind::Heap, None);
+        let cal = run_users(&cfg, SchedulerKind::Calendar, None);
         assert_eq!(heap.fingerprint(), cal.fingerprint());
         assert_eq!(cal.frames_sent, 3_000);
         assert_eq!(cal.frames_delivered, 3_000);
@@ -748,9 +677,9 @@ mod tests {
         let mut cfg = UserScaleConfig::for_k(4, 64, 8);
         cfg.mix = ArrivalMix::Uniform { gap_ns: 10 };
         cfg.mode = AggregateMode::Amortized { window_ns: 100 };
-        let free = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        let free = run_users(&cfg, SchedulerKind::Calendar, None);
         cfg.credits_per_window = 2;
-        let throttled = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        let throttled = run_users(&cfg, SchedulerKind::Calendar, None);
         assert_eq!(free.frames_sent, 64 * 8);
         assert_eq!(throttled.frames_sent, 64 * 8);
         assert_eq!(throttled.frames_delivered, 64 * 8);
@@ -764,7 +693,7 @@ mod tests {
         // per-slot frame counts depend only on the ceil/floor split, while
         // totals are invariant across modes.
         let cfg = UserScaleConfig::for_k(4, 40, 4);
-        let run = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        let run = run_users(&cfg, SchedulerKind::Calendar, None);
         assert_eq!(run.frames_sent, 160);
         assert_eq!(run.aggregates, 16);
         // 40 users over 16 slots: 8 slots of 3, 8 slots of 2.
@@ -829,15 +758,7 @@ mod tests {
             frames: 8,
             gap_ns: 10_000,
         });
-        let agg = AggregateHostNode::new(
-            &cfg,
-            ft,
-            0,
-            0,
-            50,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
-        );
+        let agg = AggregateHostNode::new(&cfg, ft, 0, 0, 50, Rc::default(), Rc::default());
         let first = agg.first_due_ns().expect("the compromised user is active");
         net.sim.register_node(host, Box::new(agg));
         net.sim.schedule_timer(host, SEND_TIMER, first);
@@ -871,15 +792,8 @@ mod tests {
     #[test]
     fn replay_windows_track_deliveries() {
         let cfg = UserScaleConfig::for_k(4, 8, 2);
-        let mut agg = AggregateHostNode::new(
-            &cfg,
-            FatTree::new(4),
-            0,
-            0,
-            8,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
-        );
+        let mut agg =
+            AggregateHostNode::new(&cfg, FatTree::new(4), 0, 0, 8, Rc::default(), Rc::default());
         assert_eq!(agg.replay_window_occupancy(), 0);
         for flow in [0u8, 0, 7] {
             let mut sim_out = Outbox::default();

@@ -1,11 +1,10 @@
 //! Differential test for host aggregation: an aggregate modelling exactly
 //! one user per host slot must be bit-identical to individual host nodes —
 //! per-node delivery streams, aggregate stats, final clock and telemetry
-//! fingerprints — across sequential heap, sequential calendar, and sharded
-//! engines with 1, 2 and 4 shards (including adversarial worker stagger).
+//! fingerprints — on both the heap and the calendar scheduler.
 //!
 //! The reference column reimplements the scale workload's per-host node
-//! locally (the same fig19 mix `netsim`'s `shard_diff` pins); the
+//! locally (the same fig19 mix `netsim`'s `scheduler_diff` pins); the
 //! aggregate columns wrap [`AggregateHostNode`] in a recording shim. Every
 //! node records each frame it receives as `(time, ingress port, payload
 //! bytes)`, so comparing per-node streams is exactly the "the fabric
@@ -14,7 +13,6 @@
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::frame::FrameBytes;
 use p4auth_netsim::sched::SchedulerKind;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
 use p4auth_netsim::sim::{Outbox, SimNode, SimStats, Simulator};
 use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::{RandomSource, SplitMix64};
@@ -22,8 +20,9 @@ use p4auth_systems::scaleload::ScaleConfig;
 use p4auth_systems::userscale::{AggregateHostNode, UserScaleConfig};
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
@@ -32,7 +31,7 @@ const SEND_TIMER: u64 = 1;
 /// One recorded delivery: `(sim time ns, ingress port, payload)`.
 type Delivery = (u64, u8, Vec<u8>);
 /// Per-node delivery streams, dense by stream index (switches then hosts).
-type Streams = Arc<Vec<Mutex<Vec<Delivery>>>>;
+type Streams = Rc<Vec<RefCell<Vec<Delivery>>>>;
 
 fn frame_dst(payload: &[u8]) -> SwitchId {
     SwitchId::new(u16::from_le_bytes([payload[0], payload[1]]))
@@ -48,7 +47,7 @@ struct Forwarder {
 
 impl SimNode for Forwarder {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -76,7 +75,7 @@ struct RefHost {
 
 impl SimNode for RefHost {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, _: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -118,7 +117,7 @@ struct RecordingAggregate {
 
 impl SimNode for RecordingAggregate {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -133,7 +132,7 @@ impl SimNode for RecordingAggregate {
 
 fn make_streams(ft: &FatTree) -> Streams {
     let n = ft.switch_count() as usize + ft.host_count() as usize;
-    Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect())
+    Rc::new((0..n).map(|_| RefCell::default()).collect())
 }
 
 fn forwarder(cfg: &ScaleConfig, ft: FatTree, id: SwitchId, streams: &Streams) -> Box<Forwarder> {
@@ -160,7 +159,7 @@ fn slot_node(
     ft: FatTree,
     h: u16,
     streams: &Streams,
-) -> (Box<dyn SimNode + Send>, u64) {
+) -> (Box<dyn SimNode>, u64) {
     let stream = ft.switch_count() as usize + h as usize;
     let boot = 1 + (h as u64 % 97) * 11;
     match column {
@@ -179,15 +178,8 @@ fn slot_node(
         ),
         Column::Aggregate => {
             let ucfg = UserScaleConfig::mirror_scale(cfg);
-            let inner = AggregateHostNode::new(
-                &ucfg,
-                ft,
-                h,
-                h as u64,
-                1,
-                Arc::new(AtomicU64::new(0)),
-                Arc::new(AtomicU64::new(0)),
-            );
+            let inner =
+                AggregateHostNode::new(&ucfg, ft, h, h as u64, 1, Rc::default(), Rc::default());
             let first = inner.first_due_ns().expect("one active user");
             assert_eq!(first, boot, "aggregate must boot like the host");
             (
@@ -202,7 +194,7 @@ fn slot_node(
     }
 }
 
-/// Everything a run produces that must be column- and engine-invariant.
+/// Everything a run produces that must be column- and scheduler-invariant.
 struct RunResult {
     label: String,
     streams: Vec<Vec<Delivery>>,
@@ -247,40 +239,11 @@ fn run_sequential(cfg: &ScaleConfig, column: Column, kind: SchedulerKind) -> Run
     }
 }
 
-fn run_sharded_aggregate(cfg: &ScaleConfig, shards: usize, stagger_ns: &[u64]) -> RunResult {
-    let ft = FatTree::new(cfg.k);
-    let streams = make_streams(&ft);
-    let registry = Arc::new(Registry::new());
-    let topo = ft.build(cfg.latency_ns);
-    let plan = ShardPlan::pod_aligned(&topo, shards);
-    let mut sim = ShardedSimulator::new(topo, plan);
-    sim.set_stagger(stagger_ns.to_vec());
-    sim.set_telemetry(registry.clone());
-    for id in 1..=ft.switch_count() {
-        let id = SwitchId::new(id);
-        sim.register_node(id, forwarder(cfg, ft, id, &streams));
-    }
-    for h in 0..ft.host_count() {
-        let (node, boot) = slot_node(&Column::Aggregate, cfg, ft, h, &streams);
-        sim.register_node(ft.host(h), node);
-        sim.schedule_timer(ft.host(h), SEND_TIMER, boot);
-    }
-    let report = sim.run();
-    RunResult {
-        label: format!("aggregate-sharded-{shards} (stagger {stagger_ns:?})"),
-        streams: unwrap_streams(streams),
-        events: report.events,
-        stats: report.stats,
-        now_ns: report.now.as_ns(),
-        telemetry_json: registry.snapshot().to_json(),
-    }
-}
-
 fn unwrap_streams(streams: Streams) -> Vec<Vec<Delivery>> {
-    Arc::try_unwrap(streams)
+    Rc::try_unwrap(streams)
         .expect("all nodes dropped")
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(RefCell::into_inner)
         .collect()
 }
 
@@ -309,22 +272,6 @@ fn one_user_aggregates_match_individual_hosts_across_engines() {
     let others = [
         run_sequential(&cfg, Column::Aggregate, SchedulerKind::Calendar),
         run_sequential(&cfg, Column::Aggregate, SchedulerKind::Heap),
-        run_sharded_aggregate(&cfg, 1, &[]),
-        run_sharded_aggregate(&cfg, 2, &[]),
-        run_sharded_aggregate(&cfg, 4, &[]),
-    ];
-    for other in &others {
-        assert_runs_match(&reference, other);
-    }
-}
-
-#[test]
-fn one_user_aggregates_survive_adversarial_stagger() {
-    let cfg = ScaleConfig::for_k(4, 16);
-    let reference = run_sequential(&cfg, Column::Individual, SchedulerKind::Calendar);
-    let others = [
-        run_sharded_aggregate(&cfg, 4, &[120_000, 0, 40_000]),
-        run_sharded_aggregate(&cfg, 2, &[0, 90_000]),
     ];
     for other in &others {
         assert_runs_match(&reference, other);

@@ -1,65 +1,46 @@
-//! Engine differential over fault-injected campaign fabrics.
+//! Scheduler differential over fault-injected campaign fabrics.
 //!
 //! Every scenario campaign's fabric phase — the user-scale workload with
 //! its [`FaultPlan`](p4auth_netsim::fault::FaultPlan) installed — must be
-//! bit-identical across the heap scheduler, the calendar scheduler and
-//! the sharded engine at 2 and 4 shards, and must stay identical when
-//! `P4AUTH_SHARD_STAGGER` delays workers at their export barriers. This
-//! extends the plain-workload engine differentials (`shard_diff.rs`,
+//! bit-identical on the heap scheduler and the calendar scheduler. This
+//! extends the plain-workload differentials (`scheduler_diff.rs`,
 //! `aggregate_diff.rs`) to runs with link churn: faults are first-class
-//! sim events, so engine choice must never leak into what a fault run
-//! computes.
+//! sim events, so the scheduler choice must never leak into what a fault
+//! run computes.
 
 use p4auth_netsim::sched::SchedulerKind;
 use p4auth_systems::campaigns::fabric_plans;
-use p4auth_systems::scaleload::Engine;
-use p4auth_systems::userscale::{run_users_engine, UserScaleConfig, UserScaleRun};
+use p4auth_systems::userscale::{run_users, UserScaleConfig, UserScaleRun};
 
-fn run(plan_name: &str, engine: Engine) -> UserScaleRun {
+fn run(plan_name: &str, kind: SchedulerKind) -> UserScaleRun {
     let (_, plan) = fabric_plans()
         .into_iter()
         .find(|(n, _)| *n == plan_name)
         .expect("known campaign");
     let mut cfg = UserScaleConfig::for_k(4, 3_000, 2);
     cfg.faults = Some(plan);
-    run_users_engine(&cfg, engine, None)
+    run_users(&cfg, kind, None)
 }
 
-fn assert_engines_agree(name: &str, label: &str) {
-    let cal = run(name, Engine::Sequential(SchedulerKind::Calendar));
-    let heap = run(name, Engine::Sequential(SchedulerKind::Heap));
-    let two = run(name, Engine::Sharded { shards: 2 });
-    let four = run(name, Engine::Sharded { shards: 4 });
-    for (engine, other) in [("heap", &heap), ("sharded(2)", &two), ("sharded(4)", &four)] {
-        assert_eq!(
-            cal.fingerprint(),
-            other.fingerprint(),
-            "{name}: {engine} diverged from calendar ({label})"
-        );
-        assert_eq!(
-            cal.stats, other.stats,
-            "{name}: {engine} drop taxonomy/fault counts diverged ({label})"
-        );
-    }
-    assert!(
-        cal.stats.faults_applied > 0 || name == "boot_storm_digest_flood",
-        "{name}: the fault plan must actually fire"
-    );
-}
-
-/// One process-wide test (env mutation is global): every campaign fabric
-/// agrees across engines, first unstaggered, then under
-/// `P4AUTH_SHARD_STAGGER` worker delays.
 #[test]
 fn campaign_fabrics_are_engine_invariant() {
     let names: Vec<&'static str> = fabric_plans().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names.len(), 5);
     for name in &names {
-        assert_engines_agree(name, "no stagger");
+        let cal = run(name, SchedulerKind::Calendar);
+        let heap = run(name, SchedulerKind::Heap);
+        assert_eq!(
+            cal.fingerprint(),
+            heap.fingerprint(),
+            "{name}: heap diverged from calendar"
+        );
+        assert_eq!(
+            cal.stats, heap.stats,
+            "{name}: heap drop taxonomy/fault counts diverged"
+        );
+        assert!(
+            cal.stats.faults_applied > 0 || *name == "boot_storm_digest_flood",
+            "{name}: the fault plan must actually fire"
+        );
     }
-    std::env::set_var("P4AUTH_SHARD_STAGGER", "120000");
-    for name in &names {
-        assert_engines_agree(name, "stagger 120us");
-    }
-    std::env::remove_var("P4AUTH_SHARD_STAGGER");
 }

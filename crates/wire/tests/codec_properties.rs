@@ -181,3 +181,27 @@ proptest! {
         prop_assert_eq!(&input[10..], &bytes[14..]);
     }
 }
+
+/// The shrunk counterexample once found by `any_bitflip_detected`, pinned
+/// as a plain test: bit 136 of a `PortKeyInit` from the controller sealed
+/// under key 0.
+#[test]
+fn any_bitflip_detected_port_key_init_bit_136() {
+    let msg = Message::new(
+        SwitchId::CONTROLLER,
+        PortId::CPU,
+        SeqNum::new(0),
+        Body::KeyExchange(KeyExchange::PortKeyInit {
+            peer: SwitchId::CONTROLLER,
+            peer_port: PortId::CPU,
+        }),
+    );
+    let k = Key64::new(0);
+    let mac = HalfSipHashMac::default();
+    let sealed = msg.sealed(&mac, k);
+    let mut bytes = sealed.encode();
+    bytes[136 / 8] ^= 1 << (136 % 8);
+    if let Ok(decoded) = Message::decode(&bytes) {
+        assert!(!decoded.verify(&mac, k) || decoded == sealed);
+    }
+}

@@ -262,7 +262,7 @@ fn link_flap_recovery_reagrees_port_keys() {
 fn pod_failure_recovery_converges_all_port_keys() {
     // Pod 1's DP-DP links fail as a correlated group and recover (the
     // C-DP control channel models an out-of-band management network —
-    // DESIGN §4g). Post-recovery, every link in the fabric must hold
+    // DESIGN §4f). Post-recovery, every link in the fabric must hold
     // agreed port keys again.
     let ft = FatTree::new(4);
     let mut net = Network::build(
