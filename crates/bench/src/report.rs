@@ -480,8 +480,8 @@ pub fn metrics() {
 
 /// Replicated control plane (`repro -- replicas`): the full
 /// fat-tree(4) scenario through 2 `ControllerReplica`s — bootstrap with
-/// cross-partition redirects, a digest flood auto-rolled by the
-/// rate-driven defence daemon, a control-plane MitM rejected by the
+/// cross-partition redirects, a digest flood auto-rolled once by the
+/// victim's owner replica, a control-plane MitM rejected by the
 /// other partition, and a versioned bulk rollover with per-replica
 /// fan-out latency. Prints (and with `P4AUTH_REPLICAS_OUT=<path>`
 /// writes) the deterministic JSON report that CI diffs across two runs.

@@ -451,33 +451,6 @@ impl Controller {
         self.defence = Some(DefenceState::new(config));
     }
 
-    /// Enables the defence loop in *rate-driven* mode: threshold detection
-    /// is owned by an external consumer of the windowed `*_per_sec`
-    /// telemetry series (the defence daemon), which reports crossings via
-    /// [`Controller::on_rate_crossing`]. Per-reject signals still reach
-    /// the loop for bookkeeping but no longer drive detection.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig) {
-        self.defence = Some(DefenceState::new_rate_driven(config));
-    }
-
-    /// Reports a reject-rate threshold crossing on `(peer, channel)`
-    /// observed in the windowed telemetry series (rate-driven defence
-    /// mode); translates the resulting mitigation like any other defence
-    /// decision. Uses the clock last pushed via [`Controller::set_now`].
-    pub fn on_rate_crossing(
-        &mut self,
-        peer: SwitchId,
-        channel: PortId,
-    ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        if let Some(d) = &mut self.defence {
-            d.trigger_crossing(self.now_ns, peer, channel);
-            self.drive_defence(&mut out, &mut events);
-        }
-        (out, events)
-    }
-
     /// Whether a defence mitigation is currently in flight on
     /// `(peer, channel)`.
     pub fn defence_in_flight(&self, peer: SwitchId, channel: PortId) -> bool {
@@ -595,10 +568,11 @@ impl Controller {
     }
 
     /// Bumps the per-channel auth-failure counter
-    /// `ctrl_channel_rejects{<peer>:<channel>}`. The snapshot ring derives
-    /// a windowed `ctrl_channel_rejects_per_sec` series from it, which is
-    /// what the rate-driven defence daemon consumes — the same signal the
-    /// in-process loop sees, but without re-deriving window counts.
+    /// `ctrl_channel_rejects{<peer>:<channel>}`: one increment per signal
+    /// the defence loop is fed (a forged digest or replay on the C-DP
+    /// channel, or an authenticated agent alert naming the channel), so
+    /// the snapshot shows which channels were under attack. Observability
+    /// only; detection runs on the loop's own sliding windows.
     fn count_channel_reject(&self, peer: SwitchId, channel: PortId) {
         if let Some(t) = &self.telemetry {
             t.registry
@@ -719,8 +693,15 @@ impl Controller {
             if action.channel.is_cpu() {
                 if self.has_local_key(action.peer) {
                     // Both rungs roll the key: for a quarantine the fresh
-                    // key is also the exit path.
-                    out.extend(self.local_key_update(action.peer));
+                    // key is also the exit path. A rollover already in
+                    // flight *is* that roll (its completion runs
+                    // `complete_mitigation`); starting another would
+                    // replace the pending exchange, and the answer to the
+                    // first offer would be finished against the second
+                    // offer's secret — a key the switch does not hold.
+                    if !self.kex_in_flight(action.peer) {
+                        out.extend(self.local_key_update(action.peer));
+                    }
                 } else {
                     // Nothing to roll yet (bootstrap still running);
                     // abandon rather than wedge the channel.

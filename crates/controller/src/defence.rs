@@ -142,11 +142,6 @@ pub struct DefenceState {
     pending: VecDeque<MitigationAction>,
     /// Actions evicted from the bounded pending queue.
     dropped: u64,
-    /// `false` when a rate-driven consumer (the defence daemon feeding on
-    /// `SnapshotRing::rate_gauges`) owns threshold detection: per-reject
-    /// signals then no longer drive the window logic, only explicit
-    /// [`DefenceState::trigger_crossing`] calls do.
-    signal_driven: bool,
 }
 
 impl DefenceState {
@@ -167,20 +162,7 @@ impl DefenceState {
             channels: HashMap::new(),
             pending: VecDeque::new(),
             dropped: 0,
-            signal_driven: true,
         }
-    }
-
-    /// Creates a defence loop whose threshold detection is *rate-driven*:
-    /// per-reject [`DefenceState::record_signal`] calls are ignored and
-    /// crossings are reported explicitly via
-    /// [`DefenceState::trigger_crossing`] by a consumer of the windowed
-    /// `*_per_sec` telemetry series. The escalation ladder, in-flight
-    /// hysteresis and quarantine state behave identically.
-    pub fn new_rate_driven(config: DefenceConfig) -> Self {
-        let mut d = DefenceState::new(config);
-        d.signal_driven = false;
-        d
     }
 
     /// The active configuration.
@@ -198,11 +180,6 @@ impl DefenceState {
     /// `(peer, channel)` at simulated time `now_ns`. May enqueue a
     /// [`MitigationAction`]; drain with [`DefenceState::take_actions`].
     pub fn record_signal(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
-        if !self.signal_driven {
-            // A rate-driven consumer owns detection; per-reject signals
-            // are already reflected in the windowed rate series.
-            return;
-        }
         let window_ns = self.config.window_ns;
         let threshold = self.config.reject_threshold;
         let state = self.channels.entry((peer, channel)).or_default();
@@ -223,13 +200,11 @@ impl DefenceState {
         }
     }
 
-    /// Reports one reject-threshold crossing on `(peer, channel)` at
-    /// `now_ns` and enqueues the corresponding rung of the escalation
+    /// Handles one reject-threshold crossing on `(peer, channel)` at
+    /// `now_ns`: enqueues the corresponding rung of the escalation
     /// ladder. No-op while a mitigation is already in flight on the
-    /// channel (one crossing, one action). Used internally by
-    /// [`DefenceState::record_signal`] and directly by rate-driven
-    /// consumers of the `*_per_sec` telemetry series.
-    pub fn trigger_crossing(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
+    /// channel (one crossing, one action).
+    fn trigger_crossing(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
         let escalation_ns = self.config.escalation_window_ns;
         let state = self.channels.entry((peer, channel)).or_default();
         if state.in_flight.is_some() {
@@ -530,32 +505,6 @@ mod tests {
         }
         assert_eq!(d.actions_dropped(), 1);
         assert!(!d.is_quarantined(S1, PortId::new(1)));
-    }
-
-    #[test]
-    fn rate_driven_mode_ignores_signals_but_fires_on_crossing() {
-        let mut d = DefenceState::new_rate_driven(cfg());
-        // Per-reject signals are the monolith path; a rate-driven loop
-        // must not double-detect from them.
-        for t in [100, 200, 300, 400, 500] {
-            d.record_signal(t, S1, PortId::new(1));
-        }
-        assert!(d.take_actions().is_empty());
-        // An explicit crossing (from the windowed rate series) fires the
-        // same ladder: rollover first...
-        d.trigger_crossing(600, S1, PortId::new(1));
-        let actions = d.take_actions();
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].kind, MitigationKind::KeyRollover);
-        // ...with in-flight hysteresis...
-        d.trigger_crossing(700, S1, PortId::new(1));
-        assert!(d.take_actions().is_empty());
-        // ...and escalation to quarantine on a re-crossing soon after
-        // completion.
-        d.on_key_installed(1_000, S1, PortId::new(1)).unwrap();
-        d.trigger_crossing(1_100, S1, PortId::new(1));
-        assert_eq!(d.take_actions()[0].kind, MitigationKind::Quarantine);
-        assert!(d.is_quarantined(S1, PortId::new(1)));
     }
 
     #[test]

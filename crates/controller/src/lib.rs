@@ -24,10 +24,12 @@
 //!
 //! On top of the protocol core, the crate provides the *split* control
 //! plane (sonic-swss shape): a deterministic pub/sub [`statedb`] that
-//! per-domain orchestration [`daemons`] coordinate through, and a
-//! [`replica`] layer that partitions switches across N
-//! [`ControllerReplica`]s by a deterministic hash, with versioned bulk
-//! key rollover that is KMP-retry- and replica-restart-safe.
+//! per-domain orchestration [`daemons`] (key manager, register outcomes)
+//! coordinate through, and a [`replica`] layer that partitions switches
+//! across N [`ControllerReplica`]s by a deterministic hash, with versioned
+//! bulk key rollover that is KMP-retry- and replica-restart-safe. Both
+//! shapes detect floods the same way: the [`defence`] loop inside the
+//! core that sees a channel's rejects mitigates per reject.
 //!
 //! ```
 //! use p4auth_controller::{Controller, ControllerConfig};

@@ -2,9 +2,12 @@
 //! switches by a deterministic hash, coordinating through one shared
 //! [`StateDb`].
 //!
-//! Each replica is a protocol [`Controller`] core plus the three
-//! orchestration [`daemons`](crate::daemons). The [`ReplicaSet`] owns
-//! the shared state table, routes incoming frames to the replica
+//! Each replica is a protocol [`Controller`] core plus the two
+//! orchestration [`daemons`](crate::daemons). Flood detection stays in
+//! the core: with [`ReplicaSet::enable_defence`] armed, each core's
+//! per-reject sliding windows watch the channels of the switches it
+//! owns, exactly as the single [`Controller`] does. The [`ReplicaSet`]
+//! owns the shared state table, routes incoming frames to the replica
 //! responsible for the sending switch, and implements the two places
 //! where replicas must cooperate:
 //!
@@ -38,15 +41,15 @@
 //! two-run gate checks end-to-end.
 
 use crate::controller::{Controller, ControllerConfig, ControllerEvent, Outgoing};
-use crate::daemons::{tables, DefenceDaemon, KeyManagerDaemon, RegisterDaemon};
+use crate::daemons::{tables, KeyManagerDaemon, RegisterDaemon};
 use crate::defence::DefenceConfig;
 use crate::statedb::{StateDb, Value};
 use p4auth_primitives::Key64;
-use p4auth_telemetry::{GaugeSample, Registry};
+use p4auth_telemetry::Registry;
 use p4auth_wire::body::{AdhkdRole, Body, KexContext, KeyExchange};
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
 use p4auth_wire::Message;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// SplitMix64 finalizer — the partition hash. Deterministic across
@@ -75,7 +78,6 @@ pub struct ControllerReplica {
     /// The protocol core (sealing, verifying, exchanges).
     pub core: Controller,
     km: KeyManagerDaemon,
-    defence: Option<DefenceDaemon>,
     registers: RegisterDaemon,
     owned: Vec<SwitchId>,
 }
@@ -103,12 +105,6 @@ pub struct ReplicaSet {
     db: StateDb,
     replicas: Vec<ControllerReplica>,
     redirects: BTreeMap<SwitchId, RedirectLease>,
-    defence: Option<(DefenceConfig, u64)>,
-    /// Channel labels seen in the previous `observe_rates` sample. A
-    /// label present here but absent from the current sample has gone
-    /// quiet (or rotated out of the snapshot ring) and decays to zero
-    /// rather than holding its last value forever.
-    rate_labels: BTreeSet<String>,
 }
 
 impl ReplicaSet {
@@ -143,7 +139,6 @@ impl ReplicaSet {
                 label,
                 core,
                 km,
-                defence: None,
                 registers: RegisterDaemon,
                 owned,
             });
@@ -152,8 +147,6 @@ impl ReplicaSet {
             db,
             replicas,
             redirects: BTreeMap::new(),
-            defence: None,
-            rate_labels: BTreeSet::new(),
         }
     }
 
@@ -194,9 +187,9 @@ impl ReplicaSet {
     }
 
     /// Attaches one registry to every replica's core, each labeled
-    /// `replica{i}` so their series stay distinguishable while the
+    /// `replica{i}` so their series stay distinguishable, while the
     /// per-channel reject counters (labeled by channel, not replica)
-    /// merge into the set-wide series the defence daemons consume.
+    /// merge into one set-wide series.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         for r in &mut self.replicas {
             let label = r.label.clone();
@@ -211,45 +204,14 @@ impl ReplicaSet {
         }
     }
 
-    /// Arms the rate-driven defence ladder on every replica:
-    /// mitigations trigger when a channel's windowed reject rate (from
-    /// [`ReplicaSet::observe_rates`]) reaches `threshold` rejects/sec.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig, threshold: u64) {
-        self.defence = Some((config, threshold));
+    /// Arms the adaptive defence loop (see
+    /// [`Controller::enable_defence`]) on every replica's core. Each
+    /// core mitigates floods on the channels of the switches it owns,
+    /// per reject, as the frames arrive.
+    pub fn enable_defence(&mut self, config: DefenceConfig) {
         for r in &mut self.replicas {
-            r.core.enable_defence_rate_driven(config);
-            r.defence = Some(DefenceDaemon::new(&mut self.db, r.owned.clone(), threshold));
+            r.core.enable_defence(config);
         }
-    }
-
-    /// Publishes the snapshot ring's derived `*_per_sec` gauges into the
-    /// `rates` table for the defence daemons. Call with
-    /// `SnapshotRing::rate_gauges()` output after each ring sample.
-    ///
-    /// A series that disappears between samples — its channel went
-    /// quiet, or the ring rotated it out — decays to zero instead of
-    /// leaving its last rate in the table: the daemons read the table as
-    /// "current rate", and a stale spike would hold a mitigation ladder
-    /// armed long after the traffic stopped.
-    pub fn observe_rates(&mut self, now_ns: u64, gauges: &[GaugeSample]) {
-        let mut seen = BTreeSet::new();
-        for g in gauges {
-            if g.name == "ctrl_channel_rejects_per_sec" {
-                self.db.set(
-                    now_ns,
-                    tables::RATES,
-                    &g.label,
-                    Value::U64(g.value.max(0) as u64),
-                );
-                seen.insert(g.label.clone());
-            }
-        }
-        for label in &self.rate_labels {
-            if !seen.contains(label) {
-                self.db.set(now_ns, tables::RATES, label, Value::U64(0));
-            }
-        }
-        self.rate_labels = seen;
     }
 
     /// Routes one frame from `switch` to the responsible replica and
@@ -264,14 +226,16 @@ impl ReplicaSet {
     ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
         let mut target = self.owner(from);
         let mut answer_leg = false;
-        if let Ok(msg) = Message::decode(bytes) {
-            if let Body::KeyExchange(KeyExchange::Adhkd {
-                context: KexContext::PortInitRedirect,
-                role,
-                ..
-            }) = msg.body()
-            {
-                if let Some(lease) = self.redirects.get(&from) {
+        // Only a live lease can divert the frame, so only then is it
+        // worth decoding here (the core decodes it again either way).
+        if let Some(lease) = self.redirects.get(&from) {
+            if let Ok(msg) = Message::decode(bytes) {
+                if let Body::KeyExchange(KeyExchange::Adhkd {
+                    context: KexContext::PortInitRedirect,
+                    role,
+                    ..
+                }) = msg.body()
+                {
                     target = lease.home;
                     answer_leg = *role == AdhkdRole::Answer;
                 }
@@ -342,11 +306,6 @@ impl ReplicaSet {
             }
             self.db.remove(tables::LEASES, &sw.to_string());
         }
-    }
-
-    /// Whether the rate-driven defence ladder is armed.
-    pub fn defence_enabled(&self) -> bool {
-        self.defence.is_some()
     }
 
     /// Whether `switch`'s owner has its local key established.
@@ -426,22 +385,11 @@ impl ReplicaSet {
     }
 
     /// One orchestration step: every replica (in index order) runs its
-    /// key-manager and defence daemons against the shared table.
-    pub fn step(&mut self, now_ns: u64) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        for i in 0..self.replicas.len() {
-            let r = &mut self.replicas[i];
-            r.core.set_now(now_ns);
-            out.extend(r.km.step(&mut self.db, &mut r.core, now_ns));
-            if let Some(d) = &mut r.defence {
-                let (o, ev) = d.step(&mut self.db, &mut r.core, now_ns);
-                out.extend(o);
-                r.registers.publish(&mut self.db, now_ns, &ev);
-                events.extend(ev);
-            }
-        }
-        (out, events)
+    /// key-manager daemon against the shared table.
+    pub fn step(&mut self, now_ns: u64) -> Vec<Outgoing> {
+        (0..self.replicas.len())
+            .flat_map(|i| self.step_replica(i, now_ns))
+            .collect()
     }
 
     /// Steps only replica `i` — the proptest uses this to interleave
@@ -489,21 +437,15 @@ impl ReplicaSet {
                 .all(|r| KeyManagerDaemon::partition_done(&self.db, &r.owned, epoch))
     }
 
-    /// Simulates a crash/restart of replica `i`: every daemon is rebuilt
-    /// from scratch with fresh state-table subscriptions, exactly as a
-    /// respawned process would come up. All orchestration progress must
-    /// therefore be recoverable from the table — the mid-rollover
-    /// restart proptest pins this down.
+    /// Simulates a crash/restart of replica `i`'s orchestration: the
+    /// key-manager daemon is rebuilt from scratch with a fresh
+    /// state-table subscription, exactly as a respawned process would
+    /// come up. All rollover progress must therefore be recoverable from
+    /// the table — the mid-rollover restart proptest pins this down. The
+    /// core (keys, sequence counters, defence windows) keeps its state.
     pub fn restart_replica(&mut self, i: usize) {
-        let (owned, label) = {
-            let r = &self.replicas[i];
-            (r.owned.clone(), r.label.clone())
-        };
-        self.replicas[i].km = KeyManagerDaemon::new(&mut self.db, owned.clone(), label);
-        if let Some((config, threshold)) = self.defence {
-            self.replicas[i].core.enable_defence_rate_driven(config);
-            self.replicas[i].defence = Some(DefenceDaemon::new(&mut self.db, owned, threshold));
-        }
+        let r = &mut self.replicas[i];
+        r.km = KeyManagerDaemon::new(&mut self.db, r.owned.clone(), r.label.clone());
     }
 
     /// All alerts collected across the replicas, in replica order.
@@ -556,40 +498,6 @@ mod tests {
         set.step(0);
         assert_eq!(set.start_bulk_rollover(10), None);
         assert_eq!(set.rollover_epoch(), 1);
-    }
-
-    #[test]
-    fn vanished_rate_series_decays_to_zero() {
-        let mut set = ReplicaSet::new(1, ControllerConfig::default(), &seeds(2));
-        let gauge = |label: &str, value: i64| GaugeSample {
-            name: "ctrl_channel_rejects_per_sec".to_string(),
-            label: label.to_string(),
-            value,
-        };
-        set.observe_rates(1_000, &[gauge("ch1", 40), gauge("ch2", 7)]);
-        assert_eq!(
-            set.db().get(tables::RATES, "ch1").map(|e| &e.value),
-            Some(&Value::U64(40))
-        );
-
-        // ch1 goes quiet: the next sample no longer carries it. Its rate
-        // must read as zero, not hold the old 40 rejects/sec forever.
-        set.observe_rates(2_000, &[gauge("ch2", 9)]);
-        assert_eq!(
-            set.db().get(tables::RATES, "ch1").map(|e| &e.value),
-            Some(&Value::U64(0)),
-            "vanished series must decay to zero"
-        );
-        assert_eq!(
-            set.db().get(tables::RATES, "ch2").map(|e| &e.value),
-            Some(&Value::U64(9))
-        );
-
-        // Once decayed it stays quiet: no re-zeroing writes on later
-        // samples that still lack the label.
-        let version = set.db().get(tables::RATES, "ch1").unwrap().version;
-        set.observe_rates(3_000, &[gauge("ch2", 3)]);
-        assert_eq!(set.db().get(tables::RATES, "ch1").unwrap().version, version);
     }
 
     #[test]

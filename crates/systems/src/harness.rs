@@ -398,8 +398,6 @@ pub struct Network {
     /// Controller events accumulated during the run.
     pub events: Rc<RefCell<Vec<ControllerEvent>>>,
     rollover: SharedRollover,
-    registry: Option<std::sync::Arc<p4auth_telemetry::Registry>>,
-    ring: Option<p4auth_telemetry::SnapshotRing>,
     /// Per-switch compromised-OS relay flags (see
     /// [`Network::compromise_switch_os`]).
     relay_flags: HashMap<SwitchId, Rc<Cell<bool>>>,
@@ -508,8 +506,6 @@ impl Network {
             controller,
             events,
             rollover,
-            registry: None,
-            ring: None,
             relay_flags,
         }
     }
@@ -751,57 +747,18 @@ impl Network {
         for agent in self.switches.values() {
             agent.borrow_mut().set_telemetry(registry.clone());
         }
-        self.registry = Some(registry);
-    }
-
-    /// Attaches a [`p4auth_telemetry::SnapshotRing`] holding the last
-    /// `capacity` snapshots, keyed by sim-ns. Call [`Network::sample_ring`]
-    /// at the observation cadence; windowed rates (e.g. per-channel reject
-    /// rates for the defence loop) then come from
-    /// [`p4auth_telemetry::SnapshotRing::rate_gauges`].
-    ///
-    /// # Panics
-    ///
-    /// If [`Network::enable_telemetry`] has not been called first.
-    pub fn enable_snapshot_ring(&mut self, capacity: usize) {
-        assert!(
-            self.registry.is_some(),
-            "enable_telemetry must be called before enable_snapshot_ring"
-        );
-        self.ring = Some(p4auth_telemetry::SnapshotRing::new(capacity));
-    }
-
-    /// Pushes the current registry snapshot into the ring, stamped with the
-    /// simulator clock. No-op unless [`Network::enable_snapshot_ring`] was
-    /// called.
-    pub fn sample_ring(&mut self) {
-        if let (Some(ring), Some(registry)) = (&mut self.ring, &self.registry) {
-            ring.push(self.sim.now().as_ns(), registry.snapshot());
-        }
-    }
-
-    /// The snapshot ring, if enabled.
-    pub fn snapshot_ring(&self) -> Option<&p4auth_telemetry::SnapshotRing> {
-        self.ring.as_ref()
     }
 }
 
 /// Shared handle to a [`ReplicaSet`].
 pub type SharedReplicaSet = Rc<RefCell<ReplicaSet>>;
 
-/// Shared slot for the (optional) snapshot ring — the [`ReplicaSetNode`]
-/// samples it on every orchestration tick, the network reads the
-/// windowed rates out of it.
-type SharedRing = Rc<RefCell<Option<p4auth_telemetry::SnapshotRing>>>;
-type SharedRegistry = Rc<RefCell<Option<std::sync::Arc<p4auth_telemetry::Registry>>>>;
-
 /// Timer id driving the replicated control plane's orchestration tick.
 pub const ORCH_TIMER: u64 = 0x0c4e;
 
-/// Orchestration tick period: every tick samples telemetry into the
-/// snapshot ring, feeds the windowed reject rates to the defence
-/// daemons, and steps every replica's key manager (which re-drives
-/// stalled exchanges with capped backoff).
+/// Orchestration tick period: every tick steps every replica's key
+/// manager (which re-drives stalled exchanges with capped backoff). The
+/// tick runs only while a bulk-rollover epoch is incomplete.
 pub const ORCH_PERIOD_NS: u64 = 5_000_000;
 
 /// A [`SimNode`] mounting a whole [`ReplicaSet`] at the controller's
@@ -817,8 +774,6 @@ pub struct ReplicaSetNode {
     links: HashMap<(SwitchId, PortId), SwitchId>,
     /// Agent handles, for flipping agent-side quarantine enforcement.
     switches: HashMap<SwitchId, SharedSwitch>,
-    ring: SharedRing,
-    registry: SharedRegistry,
     /// Whether an ORCH timer chain is live (shared with the network so
     /// arming is idempotent).
     armed: Rc<Cell<bool>>,
@@ -861,29 +816,14 @@ impl SimNode for ReplicaSetNode {
         if timer_id != ORCH_TIMER {
             return;
         }
-        let now_ns = now.as_ns();
-        // Sample telemetry into the ring; the defence daemons consume the
-        // windowed `*_per_sec` rates the ring derives.
-        let gauges = {
-            let mut ring = self.ring.borrow_mut();
-            let registry = self.registry.borrow();
-            if let (Some(ring), Some(registry)) = (ring.as_mut(), registry.as_ref()) {
-                ring.push(now_ns, registry.snapshot());
-            }
-            ring.as_ref().map(|r| r.rate_gauges()).unwrap_or_default()
-        };
         let outgoing = {
             let mut set = self.set.borrow_mut();
-            set.observe_rates(now_ns, &gauges);
-            let (mut outgoing, events) = set.step(now_ns);
-            self.apply_port_actions(&mut set, now_ns, &mut outgoing);
-            self.events.borrow_mut().extend(events);
-            // Keep ticking while there is something to drive: an armed
-            // defence ladder, or an unfinished bulk-rollover epoch.
-            if set.defence_enabled() || !set.rollover_complete() {
-                out.set_timer(ORCH_TIMER, ORCH_PERIOD_NS);
-            } else {
+            let outgoing = set.step(now.as_ns());
+            // Keep ticking while an epoch is unfinished.
+            if set.rollover_complete() {
                 self.armed.set(false);
+            } else {
+                out.set_timer(ORCH_TIMER, ORCH_PERIOD_NS);
             }
             outgoing
         };
@@ -919,8 +859,6 @@ pub struct ReplicatedNetwork {
     pub set: SharedReplicaSet,
     /// Controller events accumulated during the run (all replicas).
     pub events: Rc<RefCell<Vec<ControllerEvent>>>,
-    ring: SharedRing,
-    registry: SharedRegistry,
     orch_armed: Rc<Cell<bool>>,
 }
 
@@ -943,8 +881,6 @@ impl ReplicatedNetwork {
         assert!(n_replicas > 0, "at least one controller replica");
         let mut sim = Simulator::with_scheduler(topology, SchedulerKind::default());
         let events: Rc<RefCell<Vec<ControllerEvent>>> = Rc::new(RefCell::new(Vec::new()));
-        let ring: SharedRing = Rc::new(RefCell::new(None));
-        let registry: SharedRegistry = Rc::new(RefCell::new(None));
         let orch_armed = Rc::new(Cell::new(false));
 
         // Seeds sorted by id so replica registration order (and with it
@@ -1023,8 +959,6 @@ impl ReplicatedNetwork {
                     events: events.clone(),
                     links,
                     switches: switches.clone(),
-                    ring: ring.clone(),
-                    registry: registry.clone(),
                     armed: orch_armed.clone(),
                 }),
             );
@@ -1035,8 +969,6 @@ impl ReplicatedNetwork {
             switches,
             set,
             events,
-            ring,
-            registry,
             orch_armed,
         }
     }
@@ -1157,51 +1089,15 @@ impl ReplicatedNetwork {
         for agent in self.switches.values() {
             agent.borrow_mut().set_telemetry(registry.clone());
         }
-        *self.registry.borrow_mut() = Some(registry);
     }
 
-    /// Attaches a snapshot ring of `capacity`; the orchestration tick
-    /// samples it automatically.
-    ///
-    /// # Panics
-    ///
-    /// If [`ReplicatedNetwork::enable_telemetry`] has not been called
-    /// first.
-    pub fn enable_snapshot_ring(&mut self, capacity: usize) {
-        assert!(
-            self.registry.borrow().is_some(),
-            "enable_telemetry must be called before enable_snapshot_ring"
-        );
-        *self.ring.borrow_mut() = Some(p4auth_telemetry::SnapshotRing::new(capacity));
-    }
-
-    /// Pushes the current registry snapshot into the ring, stamped with
-    /// the simulator clock (the orchestration tick also does this).
-    pub fn sample_ring(&mut self) {
-        let mut ring = self.ring.borrow_mut();
-        let registry = self.registry.borrow();
-        if let (Some(ring), Some(registry)) = (ring.as_mut(), registry.as_ref()) {
-            ring.push(self.sim.now().as_ns(), registry.snapshot());
-        }
-    }
-
-    /// The shared snapshot-ring slot, if one was enabled.
-    pub fn ring(&self) -> SharedRing {
-        self.ring.clone()
-    }
-
-    /// Arms the rate-driven defence on every replica: each replica's
-    /// defence daemon consumes the ring's windowed `*_per_sec` reject
-    /// rates (via the shared state table) and mitigates crossings on the
-    /// channels it owns. Starts the orchestration tick.
-    ///
-    /// With the defence armed the tick re-arms forever — drive the
-    /// simulation with `run_until`, not `run_to_completion`.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig, threshold: u64) {
-        self.set
-            .borrow_mut()
-            .enable_defence_rate_driven(config, threshold);
-        self.arm_orchestrator();
+    /// Arms the adaptive defence loop on every replica (see
+    /// [`Network::enable_defence`]): each replica's core mitigates
+    /// floods on the channels of the switches it owns, per reject.
+    /// Port-channel mitigations are translated into `portKeyUpdate`s by
+    /// the [`ReplicaSetNode`] as the rejects arrive; no tick is armed.
+    pub fn enable_defence(&mut self, config: DefenceConfig) {
+        self.set.borrow_mut().enable_defence(config);
     }
 
     /// Starts the next versioned bulk key-rollover epoch and the
@@ -1497,56 +1393,5 @@ mod tests {
             snap.counter("ctrl_responses_ok", "controller"),
             Some(responses_before + 1)
         );
-    }
-
-    #[test]
-    fn snapshot_ring_turns_reject_counts_into_windowed_rates() {
-        use p4auth_primitives::Digest32;
-        use p4auth_wire::body::{Body, RegisterOp};
-        use p4auth_wire::ids::SeqNum;
-        use p4auth_wire::Message;
-
-        let registry = std::sync::Arc::new(p4auth_telemetry::Registry::new());
-        let mut net = network(2);
-        net.enable_telemetry(registry.clone());
-        net.enable_snapshot_ring(8);
-        net.bootstrap_keys();
-        net.sample_ring(); // window start, after the (noisy) bootstrap
-
-        // A forged-response flood on S1's C-DP channel: every frame is a
-        // bad-digest reject at the controller.
-        let s1 = SwitchId::new(1);
-        for i in 0..20u32 {
-            let mut msg = Message::new(
-                s1,
-                PortId::CPU,
-                SeqNum::new(70_000 + i),
-                Body::Register(RegisterOp::Ack {
-                    reg: RegId::new(9),
-                    index: 0,
-                    value: u64::from(i),
-                }),
-            );
-            msg.header_mut().digest = Digest32::new(0xbad0_0000 + i);
-            net.sim.inject_frame(s1, PortId::new(63), msg.encode());
-        }
-        // One second of sim time makes the expected rate easy to read.
-        net.sim
-            .run_until(SimTime::from_ns(net.sim.now().as_ns() + 1_000_000_000));
-        net.sample_ring();
-
-        let ring = net.snapshot_ring().expect("ring enabled");
-        assert_eq!(ring.len(), 2);
-        let rate = ring
-            .rate("auth_reject_bad_digest", "controller")
-            .expect("reject series present in the window");
-        // 20 rejects over ~1s of sim time: comfortably positive, and no
-        // more than the frames injected.
-        assert!(rate > 1.0, "rate was {rate}");
-        assert!(rate <= 20.5, "rate was {rate}");
-        let gauges = ring.rate_gauges();
-        assert!(gauges
-            .iter()
-            .any(|g| g.name == "auth_reject_bad_digest_per_sec" && g.value > 0));
     }
 }

@@ -148,7 +148,7 @@ impl Registry {
     ///
     /// When the event log is enabled, its eviction count is also surfaced
     /// as a synthesized `events_dropped` counter so overflow is visible to
-    /// anything that only reads metric series (rate rings, dashboards)
+    /// anything that only reads metric series (delta exports, dashboards)
     /// and not the raw `events_overflowed` field.
     pub fn snapshot(&self) -> Snapshot {
         let families = self.lock();

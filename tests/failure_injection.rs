@@ -2,12 +2,14 @@
 //! failures. Key exchanges are stateless enough to restart: the
 //! controller's `retry_stalled` re-drives anything pending.
 
-use p4auth::controller::{ControllerConfig, ControllerEvent};
+use p4auth::attacks::digest_flood;
+use p4auth::controller::{ControllerConfig, ControllerEvent, DefenceConfig};
 use p4auth::netsim::fattree::FatTree;
 use p4auth::netsim::fault::FaultPlan;
 use p4auth::netsim::sim::TapAction;
 use p4auth::netsim::time::SimTime;
 use p4auth::netsim::topology::Topology;
+use p4auth::primitives::rng::SplitMix64;
 use p4auth::systems::harness::{ControllerNode, Network};
 use p4auth::wire::ids::{PortId, RegId, SwitchId};
 use std::cell::RefCell;
@@ -388,4 +390,66 @@ fn register_requests_survive_response_loss() {
         1,
         "only the lost one remains"
     );
+}
+
+#[test]
+fn forged_ack_burst_during_local_key_update_does_not_lock_out_the_channel() {
+    // Regression: a forged-ack burst on S1's C-DP channel that crossed
+    // the defence threshold while S1's local-key update was in flight
+    // made the mitigation start a second update, replacing the pending
+    // exchange. The answer to the first offer was then finished against
+    // the second offer's secret, leaving the controller with a key S1
+    // does not hold: every later S1 message was rejected and every read
+    // went unanswered. The in-flight update is the mitigation.
+    for gap_ns in [0, 100_000, 300_000] {
+        let mut net = Network::build(
+            Topology::chain(2, 1_000, 200_000),
+            ControllerConfig::default(),
+            0xfa11,
+            |_| None,
+            |_, c| c,
+        );
+        net.enable_defence(DefenceConfig::default());
+        net.bootstrap_keys();
+        let _ = net.take_events();
+
+        let out = net.controller.borrow_mut().local_key_update(S1);
+        net.send_from_controller(out);
+        net.sim
+            .run_until(SimTime::from_ns(net.sim.now().as_ns() + gap_ns));
+        let mut rng = SplitMix64::new(0xf100d ^ gap_ns);
+        for frame in digest_flood::forged_acks(24, S1, 50_000, &mut rng) {
+            net.sim.inject_frame(S1, PortId::new(63), frame);
+        }
+        net.sim.run_to_completion();
+        let events = net.take_events();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, ControllerEvent::DefenceMitigated { .. })),
+            "gap {gap_ns} ns: the burst must cross the defence threshold"
+        );
+
+        for _ in 0..3 {
+            net.controller_read(S1, RegId::new(1), 0);
+            net.sim.run_to_completion();
+        }
+        let answered = net
+            .take_events()
+            .iter()
+            .filter(|e| matches!(e, ControllerEvent::Nacked { switch, .. } if *switch == S1))
+            .count();
+        assert_eq!(answered, 3, "gap {gap_ns} ns: every read is answered");
+        assert_eq!(net.controller.borrow().outstanding(S1), 0);
+        let controller_key = net
+            .controller
+            .borrow()
+            .local_key_material(S1)
+            .map(|(k, _)| k);
+        let switch_key = net.switches[&S1].borrow().keys().local().current();
+        assert_eq!(
+            controller_key, switch_key,
+            "gap {gap_ns} ns: controller and S1 must hold the same local key"
+        );
+    }
 }

@@ -1,6 +1,7 @@
 //! End-to-end gate for the replicated controller: the full scenario
-//! (bootstrap across partitions, rate-driven flood defence, MITM
-//! tamper rejection at the owner replica, versioned bulk rollover)
+//! (bootstrap across partitions, per-reject flood defence at the
+//! victim's owner replica, MITM tamper rejection at the owner replica,
+//! versioned bulk rollover)
 //! must pass on a fat-tree with ≥2 replicas, and its machine-readable
 //! report must be bit-identical across two in-process runs — the same
 //! property CI checks across two separate processes.
@@ -18,7 +19,17 @@ fn replicated_fat_tree_two_runs_bit_identical() {
         "every replica must own at least one switch"
     );
     assert!(first.cross_partition_links > 0);
-    assert!(first.flood_mitigations >= 1, "flood must trigger defence");
+    // One crossing, one action: the burst rolls the victim's key once.
+    assert_eq!(
+        first.flood_mitigations, 1,
+        "flood must trigger defence once"
+    );
+    assert!(
+        first
+            .telemetry_json
+            .contains(r#"{"name": "ctrl_defence_mitigations", "label": "replica1", "value": 1}"#),
+        "the victim's owner replica mitigates exactly once"
+    );
     assert!(first.victim_key_rolled);
     assert!(first.mitm_tampered > 0 && first.mitm_rejects_at_owner > 0);
     assert_eq!(first.rollover_epoch, 1);
