@@ -1248,7 +1248,9 @@ impl Controller {
             let key = self.verify_key_for(from, &msg);
             let result = match key {
                 None => Err(RejectReason::NoKey),
-                Some(k) if !msg.verify(self.mac.as_ref(), k) => Err(RejectReason::BadDigest),
+                Some(k) if !Message::verify_frame(bytes, self.mac.as_ref(), k) => {
+                    Err(RejectReason::BadDigest)
+                }
                 Some(_) => {
                     // Responses echo the request's seq, so the replay window
                     // only applies to switch-initiated messages (alerts,
@@ -1806,6 +1808,35 @@ mod tests {
             }),
         )
         .encode()
+    }
+
+    /// Regression: a `Nack` keeps its reason in the value field's last
+    /// byte and the decoder skips the other seven. The controller verifies
+    /// the frame as received, so flipping one of them is a digest reject.
+    #[test]
+    fn flip_in_skipped_nack_bytes_is_a_digest_reject() {
+        let registry = Arc::new(Registry::with_event_capacity(64));
+        let (mut c, sw, mut agent) = defended_pair(&registry);
+        // No register is mapped on the agent, so it nacks the read.
+        let req = c.read_register(sw, RegId::new(77), 0);
+        let mut nack = agent.on_packet(0, PortId::CPU, &req.bytes).outputs[0]
+            .1
+            .clone();
+        let sealed = Message::decode(&nack).unwrap();
+        assert!(matches!(
+            sealed.body(),
+            Body::Register(RegisterOp::Nack { .. })
+        ));
+        nack[p4auth_wire::header::HEADER_LEN + 8] ^= 0x80;
+        assert_eq!(Message::decode(&nack).unwrap(), sealed);
+        let (_, events) = c.on_message(sw, &nack);
+        assert_eq!(
+            events,
+            vec![ControllerEvent::Rejected {
+                switch: sw,
+                reason: RejectReason::BadDigest
+            }]
+        );
     }
 
     #[test]

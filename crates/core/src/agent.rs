@@ -20,7 +20,9 @@
 //! baselines the evaluation compares against (DP-Reg-RW, vanilla HULA).
 
 use crate::adhkd::{self, AdhkdInitiator, AdhkdPayload};
-use crate::auth::{AlertDecision, AlertLimiter, AuthMetrics, RejectReason, ReplayWindow};
+use crate::auth::{
+    verify_and_advance, AlertDecision, AlertLimiter, AuthMetrics, RejectReason, ReplayWindow,
+};
 use crate::eak;
 use crate::keys::KeyStore;
 use p4auth_dataplane::chassis::{Chassis, ChassisConfig, ChassisError, PacketContext};
@@ -30,13 +32,13 @@ use p4auth_dataplane::table::{ActionEntry, MatchKey, MatchTable, TableKind};
 use p4auth_primitives::dh::{DhParams, DhPublic};
 use p4auth_primitives::kdf::{Kdf, KdfConfig};
 use p4auth_primitives::rng::SplitMix64;
-use p4auth_primitives::Key64;
+use p4auth_primitives::{Digest32, Key64};
 use p4auth_telemetry::{Counter, Event as TelemetryEvent, Histogram, Registry};
 use p4auth_wire::body::{
     AdhkdRole, Alert, AlertKind, Body, EakStep, InNetwork, KexContext, KeyExchange, NackReason,
     RegisterOp,
 };
-use p4auth_wire::ids::{PortId, RegId, SeqNum, SwitchId};
+use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
 use p4auth_wire::Message;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -519,9 +521,7 @@ impl P4AuthSwitch {
     }
 
     fn next_seq(&mut self, port: PortId) -> SeqNum {
-        let e = self.seq_out.entry(port).or_insert(SeqNum::new(0));
-        *e = e.next();
-        *e
+        next_seq(&mut self.seq_out, port)
     }
 
     /// Builds and seals an outgoing in-network control message for `port`
@@ -529,45 +529,38 @@ impl P4AuthSwitch {
     /// key is installed for the port and auth is enabled.
     pub fn seal_probe(&mut self, port: PortId, system: u8, payload: Vec<u8>) -> Option<Vec<u8>> {
         let seq = self.next_seq(port);
-        let mut msg = Message::in_network(
-            self.config.switch_id,
-            port,
-            seq,
-            InNetwork::new(system, payload),
-        );
-        if self.config.auth_enabled {
-            let (key, version) = self.keys.sealing_key(port)?;
-            msg = msg.with_key_version(version);
-            msg.seal(self.chassis.hash_mac(), key);
-        }
-        Some(msg.encode())
+        let inner = InNetwork::new(system, payload);
+        let msg = Message::in_network(self.config.switch_id, port, seq, inner);
+        let seal = match self.config.auth_enabled {
+            true => Some(self.keys.sealing_key(port)?),
+            false => None,
+        };
+        Some(self.sealed_frame(msg, seal))
     }
 
-    fn chassis_mac(&self) -> &dyn p4auth_primitives::mac::Mac {
-        self.chassis.hash_mac()
+    /// [`seal_frame`] outside the pipeline, with the chassis MAC.
+    fn sealed_frame(&self, msg: Message, seal: Option<(Key64, KeyVersion)>) -> Vec<u8> {
+        let mac = self.chassis.hash_mac();
+        seal_frame(msg, seal, |key, parts| mac.compute(key, parts))
     }
 
     /// Processes one packet and returns outputs plus accounting.
+    ///
+    /// A P4Auth frame is decoded once; its handler borrows the decoded
+    /// body and verifies the digest over `bytes` as received.
     pub fn on_packet(&mut self, now_ns: u64, ingress: PortId, bytes: &[u8]) -> AgentOutput {
-        let packet = Packet::from_bytes(ingress, bytes.to_vec());
-        let msg = match packet.parse_message() {
-            Ok(m) => m,
-            Err(_) => {
-                let out = self.handle_data(now_ns, ingress, bytes);
-                self.note_packet_cost(now_ns, false, &out);
-                return out;
-            }
+        let Ok(msg) = Message::decode(bytes) else {
+            let out = self.handle_data(now_ns, ingress, bytes);
+            self.note_packet_cost(now_ns, false, &out);
+            return out;
         };
-
-        let body = msg.body().clone();
-        let is_register = matches!(body, Body::Register(_));
-        let out = match body {
-            Body::Register(op) => self.handle_register(now_ns, ingress, &msg, op),
-            Body::KeyExchange(kex) => self.handle_key_exchange(now_ns, ingress, &msg, kex),
-            Body::InNetwork(inner) => self.handle_in_network(now_ns, ingress, &msg, &inner),
+        let out = match msg.body() {
+            Body::Register(op) => self.handle_register(now_ns, &msg, bytes, *op),
+            Body::KeyExchange(kex) => self.handle_key_exchange(now_ns, ingress, &msg, bytes, *kex),
+            Body::InNetwork(inner) => self.handle_in_network(now_ns, ingress, &msg, bytes, inner),
             Body::Alert(_) => AgentOutput::default(),
         };
-        self.note_packet_cost(now_ns, is_register, &out);
+        self.note_packet_cost(now_ns, matches!(msg.body(), Body::Register(_)), &out);
         out
     }
 
@@ -622,23 +615,6 @@ impl P4AuthSwitch {
             },
             Err(_) => AgentOutput::default(),
         }
-    }
-
-    /// Verify a message inside the pipeline; returns the reject reason on
-    /// failure. `key` is the channel key selected by the caller.
-    fn verify_in_ctx(
-        ctx: &mut PacketContext<'_>,
-        replay: &mut ReplayWindow,
-        key: Option<Key64>,
-        channel: PortId,
-        msg: &Message,
-    ) -> Result<(), RejectReason> {
-        let key = key.ok_or(RejectReason::NoKey)?;
-        let input = msg.digest_input();
-        if !ctx.verify_digest(key, &[&input], msg.digest()) {
-            return Err(RejectReason::BadDigest);
-        }
-        replay.check_and_advance(msg.header().sender, channel, msg.header().seq_num)
     }
 
     fn record_reject(
@@ -739,12 +715,9 @@ impl P4AuthSwitch {
             }
         };
         let seq = self.next_seq(PortId::CPU);
-        let mut msg = Message::alert(self.config.switch_id, seq, alert);
-        if let Some((key, version)) = self.keys.sealing_key(PortId::CPU) {
-            msg = msg.with_key_version(version);
-            msg.seal(self.chassis_mac(), key);
-        }
-        outputs.push((PortId::CPU, msg.encode()));
+        let msg = Message::alert(self.config.switch_id, seq, alert);
+        let seal = self.keys.sealing_key(PortId::CPU);
+        outputs.push((PortId::CPU, self.sealed_frame(msg, seal)));
         self.stats.alerts_sent += 1;
         events.push(AgentEvent::AlertSent(alert.kind));
     }
@@ -752,8 +725,8 @@ impl P4AuthSwitch {
     fn handle_register(
         &mut self,
         now_ns: u64,
-        _ingress: PortId,
         msg: &Message,
+        frame: &[u8],
         op: RegisterOp,
     ) -> AgentOutput {
         // Responses are controller-bound; a DP receiving one ignores it.
@@ -767,28 +740,28 @@ impl P4AuthSwitch {
         let mut reply_op: Option<RegisterOp> = None;
 
         let quarantined = auth && self.quarantined.contains(&PortId::CPU);
-        let packet = Packet::from_bytes(PortId::CPU, msg.encode());
         let channel_key = self.channel_verify_key(PortId::CPU, msg);
         let replay = &mut self.replay;
         let reg_names = &self.reg_names;
         let outcome = self
             .chassis
-            .process(now_ns, &packet, |ctx, _| {
+            .run(now_ns, |ctx| {
                 if quarantined {
                     // Defence-imposed drop: don't even verify — the channel
                     // key is suspect until the KMP installs a fresh one.
                     let reason = RejectReason::Quarantined;
                     events.push(AgentEvent::Rejected(reason));
                     reject = Some(reason);
-                    return Ok(vec![]);
+                    return Ok(());
                 }
                 if auth {
-                    match Self::verify_in_ctx(ctx, replay, channel_key, PortId::CPU, msg) {
+                    let verify = |k, parts: &[&[u8]], d| ctx.verify_digest(k, parts, d);
+                    match verify_and_advance(verify, channel_key, replay, PortId::CPU, msg, frame) {
                         Ok(()) => events.push(AgentEvent::VerifiedOk),
                         Err(reason) => {
                             events.push(AgentEvent::Rejected(reason));
                             reject = Some(reason);
-                            return Ok(vec![]);
+                            return Ok(());
                         }
                     }
                 }
@@ -807,7 +780,7 @@ impl P4AuthSwitch {
                         index,
                         reason: NackReason::UnknownRegister,
                     });
-                    return Ok(vec![]);
+                    return Ok(());
                 };
                 let name = &reg_names[entry.data0 as usize];
                 match qualifier {
@@ -856,7 +829,7 @@ impl P4AuthSwitch {
                         Err(e) => return Err(e),
                     },
                 }
-                Ok(vec![])
+                Ok(())
             })
             .expect("register handling uses declared tables only");
 
@@ -917,19 +890,15 @@ impl P4AuthSwitch {
         op: RegisterOp,
         outputs: &mut Vec<(PortId, Vec<u8>)>,
     ) {
-        let mut reply = Message::new(
+        let reply = Message::new(
             self.config.switch_id,
             PortId::CPU,
             request.header().seq_num,
             Body::Register(op),
         );
-        if self.config.auth_enabled {
-            if let Some((key, version)) = self.keys.sealing_key(PortId::CPU) {
-                reply = reply.with_key_version(version);
-                reply.seal(self.chassis_mac(), key);
-            }
-        }
-        outputs.push((PortId::CPU, reply.encode()));
+        let auth = self.config.auth_enabled;
+        let seal = self.keys.sealing_key(PortId::CPU).filter(|_| auth);
+        outputs.push((PortId::CPU, self.sealed_frame(reply, seal)));
     }
 
     /// Selects the verification key for a key-exchange message per §VI-C.
@@ -954,6 +923,7 @@ impl P4AuthSwitch {
         now_ns: u64,
         ingress: PortId,
         msg: &Message,
+        frame: &[u8],
         kex: KeyExchange,
     ) -> AgentOutput {
         if !self.config.auth_enabled {
@@ -964,24 +934,9 @@ impl P4AuthSwitch {
 
         // Every key-exchange message is authenticated (the "A" in ADHKD).
         let key = self.kex_verify_key(ingress, msg, &kex);
-        let verify_result = {
-            let keyed = key;
-            let mac = self.chassis_mac();
-            match keyed {
-                None => Err(RejectReason::NoKey),
-                Some(k) => {
-                    if msg.verify(mac, k) {
-                        self.replay.check_and_advance(
-                            msg.header().sender,
-                            ingress,
-                            msg.header().seq_num,
-                        )
-                    } else {
-                        Err(RejectReason::BadDigest)
-                    }
-                }
-            }
-        };
+        let mac = self.chassis.hash_mac();
+        let verify = |k, parts: &[&[u8]], d| mac.verify(k, parts, d);
+        let verify_result = verify_and_advance(verify, key, &mut self.replay, ingress, msg, frame);
         if let Err(reason) = verify_result {
             self.record_reject(
                 now_ns,
@@ -1051,7 +1006,7 @@ impl P4AuthSwitch {
                 self.k_auth = Some(k_auth);
                 events.push(AgentEvent::AuthKeyDerived);
                 let seq = self.next_seq(PortId::CPU);
-                let mut reply = Message::key_exchange(
+                let reply = Message::key_exchange(
                     self.config.switch_id,
                     PortId::CPU,
                     seq,
@@ -1060,8 +1015,8 @@ impl P4AuthSwitch {
                         salt: s2,
                     },
                 );
-                reply.seal(self.chassis_mac(), self.config.k_seed);
-                outputs.push((PortId::CPU, reply.encode()));
+                let seal = (self.config.k_seed, KeyVersion::INITIAL);
+                outputs.push((PortId::CPU, self.sealed_frame(reply, Some(seal))));
             }
             KeyExchange::EakSalt {
                 step: EakStep::Salt2,
@@ -1124,7 +1079,7 @@ impl P4AuthSwitch {
                     PortId::CPU
                 };
                 let seq = self.next_seq(reply_port);
-                let mut reply = Message::new(
+                let reply = Message::new(
                     self.config.switch_id,
                     msg.header().port,
                     seq,
@@ -1135,10 +1090,8 @@ impl P4AuthSwitch {
                         salt: answer_salt,
                     }),
                 );
-                reply.header_mut().key_version = msg.header().key_version;
-                let seal_key = key.expect("verified above");
-                reply.seal(self.chassis_mac(), seal_key);
-                outputs.push((reply_port, reply.encode()));
+                let seal = (key.expect("verified above"), msg.header().key_version);
+                outputs.push((reply_port, self.sealed_frame(reply, Some(seal))));
             }
             KeyExchange::Adhkd {
                 role: AdhkdRole::Answer,
@@ -1181,7 +1134,7 @@ impl P4AuthSwitch {
                 self.pending_kex
                     .insert((KexContext::PortInitRedirect, peer_port), initiator);
                 let seq = self.next_seq(PortId::CPU);
-                let mut out = Message::new(
+                let out = Message::new(
                     self.config.switch_id,
                     peer_port,
                     seq,
@@ -1192,11 +1145,8 @@ impl P4AuthSwitch {
                         salt: offer.salt,
                     }),
                 );
-                if let Some((k, v)) = self.keys.sealing_key(PortId::CPU) {
-                    out = out.with_key_version(v);
-                    out.seal(self.chassis_mac(), k);
-                }
-                outputs.push((PortId::CPU, out.encode()));
+                let seal = self.keys.sealing_key(PortId::CPU);
+                outputs.push((PortId::CPU, self.sealed_frame(out, seal)));
             }
             KeyExchange::PortKeyUpdate { peer: _, peer_port } => {
                 // Fig. 14(d): direct DP-DP ADHKD under the current K_port.
@@ -1205,7 +1155,7 @@ impl P4AuthSwitch {
                 self.pending_kex
                     .insert((KexContext::PortUpdateDirect, peer_port), initiator);
                 let seq = self.next_seq(peer_port);
-                let mut out = Message::new(
+                let out = Message::new(
                     self.config.switch_id,
                     peer_port,
                     seq,
@@ -1216,11 +1166,8 @@ impl P4AuthSwitch {
                         salt: offer.salt,
                     }),
                 );
-                if let Some((k, v)) = self.keys.sealing_key(peer_port) {
-                    out = out.with_key_version(v);
-                    out.seal(self.chassis_mac(), k);
-                }
-                outputs.push((peer_port, out.encode()));
+                let seal = self.keys.sealing_key(peer_port);
+                outputs.push((peer_port, self.sealed_frame(out, seal)));
             }
         }
 
@@ -1236,6 +1183,7 @@ impl P4AuthSwitch {
         now_ns: u64,
         ingress: PortId,
         msg: &Message,
+        frame: &[u8],
         inner: &InNetwork,
     ) -> AgentOutput {
         let mut events = Vec::new();
@@ -1249,7 +1197,6 @@ impl P4AuthSwitch {
             return AgentOutput::default();
         }
 
-        let packet = Packet::from_bytes(ingress, msg.encode());
         let channel_key = self.channel_verify_key(ingress, msg);
         let keys = &self.keys;
         let replay = &mut self.replay;
@@ -1260,40 +1207,36 @@ impl P4AuthSwitch {
         let mut reject: Option<RejectReason> = None;
         let mut sealed_outputs: Vec<(PortId, Vec<u8>)> = Vec::new();
 
-        let outcome = self.chassis.process(now_ns, &packet, |ctx, _| {
+        let outcome = self.chassis.run(now_ns, |ctx| {
             if quarantined {
                 reject = Some(RejectReason::Quarantined);
-                return Ok(vec![]);
+                return Ok(());
             }
             if auth {
-                if let Err(reason) = Self::verify_in_ctx(ctx, replay, channel_key, ingress, msg) {
+                let verify = |k, parts: &[&[u8]], d| ctx.verify_digest(k, parts, d);
+                if let Err(reason) =
+                    verify_and_advance(verify, channel_key, replay, ingress, msg, frame)
+                {
                     reject = Some(reason);
-                    return Ok(vec![]);
+                    return Ok(());
                 }
             }
             // Forwarded control messages are re-sealed with each egress
             // port's key *inside* the pipeline pass, so the digest
             // computation is metered and costed like the hardware would.
             for (port, payload) in app.on_control(ctx, ingress, &inner.payload)? {
-                let seq = {
-                    let e = seq_out.entry(port).or_insert(SeqNum::new(0));
-                    *e = e.next();
-                    *e
+                let seq = next_seq(seq_out, port);
+                let seal = match (auth, keys.sealing_key(port)) {
+                    (false, _) => None,
+                    (true, None) => continue, // no key for this egress; drop
+                    (true, seal) => seal,
                 };
-                let mut fwd =
+                let msg =
                     Message::in_network(switch_id, port, seq, InNetwork::new(system, payload));
-                if auth {
-                    let Some((key, version)) = keys.sealing_key(port) else {
-                        continue; // no key for this egress; drop
-                    };
-                    fwd.header_mut().key_version = version;
-                    let input = fwd.digest_input();
-                    let digest = ctx.compute_digest(key, &[&input]);
-                    fwd.header_mut().digest = digest;
-                }
-                sealed_outputs.push((port, fwd.encode()));
+                let frame = seal_frame(msg, seal, |key, parts| ctx.compute_digest(key, parts));
+                sealed_outputs.push((port, frame));
             }
-            Ok(vec![])
+            Ok(())
         });
         self.app = Some(app);
         let outcome = match outcome {
@@ -1342,6 +1285,32 @@ impl P4AuthSwitch {
             recirculations: outcome.recirculations,
             events,
         }
+    }
+}
+
+/// Advances and returns the outgoing sequence number of `port`.
+fn next_seq(seq_out: &mut HashMap<PortId, SeqNum>, port: PortId) -> SeqNum {
+    let e = seq_out.entry(port).or_insert(SeqNum::new(0));
+    *e = e.next();
+    *e
+}
+
+/// The agent's sealer: encodes `msg` into one exact-size frame and, with
+/// `seal` given, stamps its key version and MACs the frame's own slices
+/// through `mac` (plain outside the pipeline, metered inside it for
+/// forwarded probes). The frame equals
+/// `msg.with_key_version(v).sealed(mac, key).encode()`, or `msg.encode()`
+/// without `seal`.
+pub fn seal_frame(
+    msg: Message,
+    seal: Option<(Key64, KeyVersion)>,
+    mac: impl FnOnce(Key64, &[&[u8]]) -> Digest32,
+) -> Vec<u8> {
+    match seal {
+        Some((key, version)) => msg
+            .with_key_version(version)
+            .encode_sealed_with(|parts| mac(key, parts)),
+        None => msg.encode(),
     }
 }
 
@@ -1780,6 +1749,87 @@ mod tests {
         let out = sw.on_packet(0, PortId::CPU, &salt1);
         assert!(sw.has_auth_key());
         assert!(out.has_event(&AgentEvent::AuthKeyDerived));
+    }
+
+    /// Flips `byte` of a frame sealed under `key`, a byte the decoder
+    /// skips: the decoded message is unchanged, so verifying a re-encoding
+    /// would pass. The agent verifies the frame as received and must
+    /// reject it with a digest failure.
+    fn assert_flip_rejected(sw: &mut P4AuthSwitch, msg: Message, key: Key64, byte: usize) {
+        let sealed = msg.sealed(&mac(), key);
+        let mut frame = sealed.encode();
+        frame[byte] ^= 0x80;
+        assert_eq!(Message::decode(&frame).unwrap(), sealed);
+        let out = sw.on_packet(0, PortId::CPU, &frame);
+        let reject = AgentEvent::Rejected(RejectReason::BadDigest);
+        assert!(out.has_event(&reject), "byte {byte}: {:?}", out.events);
+    }
+
+    #[test]
+    fn flip_in_read_request_value_field_is_a_digest_reject() {
+        let mut sw = agent();
+        let k = Key64::new(42);
+        install_local(&mut sw, k);
+        let read = Message::register_request(
+            SwitchId::CONTROLLER,
+            SeqNum::new(1),
+            RegisterOp::read_req(RegId::new(1234), 0),
+        );
+        assert_flip_rejected(&mut sw, read, k, 29);
+        assert_eq!(sw.stats().acks, 0);
+    }
+
+    #[test]
+    fn flip_in_eak_reserved_bytes_is_a_digest_reject() {
+        let mut sw = agent();
+        let salt1 = Message::key_exchange(
+            SwitchId::CONTROLLER,
+            PortId::CPU,
+            SeqNum::new(1),
+            KeyExchange::EakSalt {
+                step: EakStep::Salt1,
+                salt: 0xaaaa,
+            },
+        );
+        assert_flip_rejected(&mut sw, salt1, SEED, 21);
+        assert!(!sw.has_auth_key());
+    }
+
+    #[test]
+    fn flip_in_adhkd_pad_or_reserved_bytes_is_a_digest_reject() {
+        let k = Key64::new(42);
+        for byte in [27, 29] {
+            let mut sw = agent();
+            install_local(&mut sw, k);
+            let offer = Message::key_exchange(
+                SwitchId::CONTROLLER,
+                PortId::CPU,
+                SeqNum::new(1),
+                KeyExchange::Adhkd {
+                    role: AdhkdRole::Offer,
+                    context: KexContext::LocalUpdate,
+                    public_key: 0x1234,
+                    salt: 7,
+                },
+            );
+            assert_flip_rejected(&mut sw, offer, k, byte);
+            assert_eq!(sw.keys().sealing_key(PortId::CPU).unwrap().0, k);
+        }
+    }
+
+    #[test]
+    fn flip_in_port_key_reserved_byte_is_a_digest_reject() {
+        let k = Key64::new(42);
+        let (peer, peer_port) = (SwitchId::new(2), PortId::new(1));
+        for kex in [
+            KeyExchange::PortKeyInit { peer, peer_port },
+            KeyExchange::PortKeyUpdate { peer, peer_port },
+        ] {
+            let mut sw = agent();
+            install_local(&mut sw, k);
+            let msg = Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::new(1), kex);
+            assert_flip_rejected(&mut sw, msg, k, 17);
+        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! run. The data-plane agent uses it inside the pipeline context; the
 //! controller uses it directly.
 
-use p4auth_primitives::mac::Mac;
-use p4auth_primitives::Key64;
+use p4auth_primitives::{Digest32, Key64};
 use p4auth_telemetry::{Counter, Registry, RejectKind};
 use p4auth_wire::body::{Alert, AlertKind};
 use p4auth_wire::ids::{PortId, SeqNum, SwitchId};
+use p4auth_wire::message::digest_parts;
 use p4auth_wire::Message;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -273,7 +273,11 @@ impl AuthMetrics {
     }
 }
 
-/// Verifies a sealed message against a key and a replay window in one step.
+/// Verifies a received frame against a key and a replay window in one step.
+///
+/// `msg` is `frame` decoded. The digest is checked over the frame's own
+/// bytes ([`digest_parts`]) by `verify`: `Mac::verify`, or the
+/// pipeline's metered `PacketContext::verify_digest`.
 ///
 /// Order matters: the digest is checked first (an attacker must not be able
 /// to probe sequence state with forged messages), then the sequence number
@@ -283,14 +287,15 @@ impl AuthMetrics {
 ///
 /// Returns the [`RejectReason`] on failure; on success the window advances.
 pub fn verify_and_advance(
-    mac: &dyn Mac,
+    verify: impl FnOnce(Key64, &[&[u8]], Digest32) -> bool,
     key: Option<Key64>,
     window: &mut ReplayWindow,
     channel: PortId,
     msg: &Message,
+    frame: &[u8],
 ) -> Result<(), RejectReason> {
     let key = key.ok_or(RejectReason::NoKey)?;
-    if !msg.verify(mac, key) {
+    if !verify(key, &digest_parts(frame), msg.digest()) {
         return Err(RejectReason::BadDigest);
     }
     window.check_and_advance(msg.header().sender, channel, msg.header().seq_num)
@@ -299,12 +304,25 @@ pub fn verify_and_advance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4auth_primitives::mac::HalfSipHashMac;
+    use p4auth_primitives::mac::{HalfSipHashMac, Mac};
     use p4auth_wire::body::RegisterOp;
     use p4auth_wire::ids::RegId;
 
     fn mac() -> HalfSipHashMac {
         HalfSipHashMac::default()
+    }
+
+    /// [`verify_and_advance`] on the CPU channel over `m`'s own frame.
+    fn check(key: Option<Key64>, w: &mut ReplayWindow, m: &Message) -> Result<(), RejectReason> {
+        let frame = m.encode();
+        verify_and_advance(
+            |k, p, d| mac().verify(k, p, d),
+            key,
+            w,
+            PortId::CPU,
+            m,
+            &frame,
+        )
     }
 
     fn msg(seq: u32) -> Message {
@@ -321,7 +339,7 @@ mod tests {
         let mut w = ReplayWindow::new();
         for seq in 1..=5 {
             let m = msg(seq).sealed(&mac(), key);
-            verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &m).unwrap();
+            check(Some(key), &mut w, &m).unwrap();
         }
         assert_eq!(
             w.last_accepted(SwitchId::CONTROLLER, PortId::CPU),
@@ -334,9 +352,9 @@ mod tests {
         let key = Key64::new(5);
         let mut w = ReplayWindow::new();
         let m = msg(3).sealed(&mac(), key);
-        verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &m).unwrap();
+        check(Some(key), &mut w, &m).unwrap();
         // Same message again: replay.
-        let err = verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &m).unwrap_err();
+        let err = check(Some(key), &mut w, &m).unwrap_err();
         assert_eq!(
             err,
             RejectReason::Replayed {
@@ -345,7 +363,7 @@ mod tests {
         );
         // Older seq: also replay.
         let old = msg(2).sealed(&mac(), key);
-        assert!(verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &old).is_err());
+        assert!(check(Some(key), &mut w, &old).is_err());
     }
 
     #[test]
@@ -354,22 +372,8 @@ mod tests {
         // not strictly-consecutive.
         let key = Key64::new(5);
         let mut w = ReplayWindow::new();
-        verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &msg(1).sealed(&mac(), key),
-        )
-        .unwrap();
-        verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &msg(10).sealed(&mac(), key),
-        )
-        .unwrap();
+        check(Some(key), &mut w, &msg(1).sealed(&mac(), key)).unwrap();
+        check(Some(key), &mut w, &msg(10).sealed(&mac(), key)).unwrap();
     }
 
     #[test]
@@ -377,16 +381,32 @@ mod tests {
         let key = Key64::new(5);
         let mut w = ReplayWindow::new();
         let forged = msg(1); // never sealed
-        let err = verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &forged).unwrap_err();
+        let err = check(Some(key), &mut w, &forged).unwrap_err();
         assert_eq!(err, RejectReason::BadDigest);
         assert_eq!(w.last_accepted(SwitchId::CONTROLLER, PortId::CPU), None);
+    }
+
+    #[test]
+    fn rejects_a_flip_in_bytes_the_decoder_skips() {
+        // A read request's value field is unused: the flipped frame
+        // decodes to the sealed message, but its own bytes no longer verify.
+        let key = Key64::new(5);
+        let sealed = msg(1).sealed(&mac(), key);
+        let mut frame = sealed.encode();
+        frame[29] ^= 1;
+        let decoded = Message::decode(&frame).unwrap();
+        assert_eq!(decoded, sealed);
+        let mut w = ReplayWindow::new();
+        let verify = |k, p: &[&[u8]], d| mac().verify(k, p, d);
+        let err = verify_and_advance(verify, Some(key), &mut w, PortId::CPU, &decoded, &frame);
+        assert_eq!(err, Err(RejectReason::BadDigest));
     }
 
     #[test]
     fn rejects_when_no_key() {
         let mut w = ReplayWindow::new();
         let m = msg(1).sealed(&mac(), Key64::new(1));
-        let err = verify_and_advance(&mac(), None, &mut w, PortId::CPU, &m).unwrap_err();
+        let err = check(None, &mut w, &m).unwrap_err();
         assert_eq!(err, RejectReason::NoKey);
     }
 

@@ -1,11 +1,11 @@
 //! Property tests on the data-plane agent: totality on adversarial input,
 //! state-integrity invariants, and consistent key-update semantics.
 
-use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
+use p4auth_core::agent::{seal_frame, AgentConfig, AgentEvent, P4AuthSwitch};
 use p4auth_dataplane::register::RegisterArray;
-use p4auth_primitives::mac::HalfSipHashMac;
+use p4auth_primitives::mac::{HalfSipHashMac, Mac};
 use p4auth_primitives::Key64;
-use p4auth_wire::body::RegisterOp;
+use p4auth_wire::body::{InNetwork, RegisterOp};
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
 use p4auth_wire::Message;
 use proptest::prelude::*;
@@ -26,6 +26,31 @@ fn agent() -> P4AuthSwitch {
 }
 
 proptest! {
+    /// The in-network sealer writes exactly the frame the message API
+    /// builds, sealed (auth on) or unsealed (auth off), for any header and
+    /// any payload a probe frame can carry inline.
+    #[test]
+    fn sealer_is_byte_identical_to_the_message_api(
+        sender: u16,
+        port: u8,
+        seq: u32,
+        version: u8,
+        key: u64,
+        system: u8,
+        payload in proptest::collection::vec(any::<u8>(), 0..63),
+    ) {
+        let mac = HalfSipHashMac::default();
+        let (key, version) = (Key64::new(key), KeyVersion::new(version));
+        let (sender, port, seq) = (SwitchId::new(sender), PortId::new(port), SeqNum::new(seq));
+        let msg = Message::in_network(sender, port, seq, InNetwork::new(system, payload));
+        let seal = |on: bool| {
+            let seal = on.then_some((key, version));
+            seal_frame(msg.clone(), seal, |k, parts| mac.compute(k, parts))
+        };
+        prop_assert_eq!(seal(true), msg.clone().with_key_version(version).sealed(&mac, key).encode());
+        prop_assert_eq!(seal(false), msg.encode());
+    }
+
     /// The agent never panics on arbitrary bytes arriving on any port —
     /// the data plane must be total over attacker-controlled input.
     #[test]

@@ -12,7 +12,6 @@ use p4auth_primitives::{Digest32, Key64};
 use p4auth_telemetry::{Counter, Event as TelemetryEvent, Registry};
 use p4auth_wire::ids::{PortId, SwitchId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -124,11 +123,15 @@ impl ChassisTelemetry {
 }
 
 /// The emulated switch.
+///
+/// Registers and tables live in dense vectors in declaration order and are
+/// found by name with a linear scan: a P4 program declares a handful of
+/// each, and comparing a few short names is cheaper than hashing one.
 pub struct Chassis {
     config: ChassisConfig,
     cost: CostModel,
-    registers: HashMap<String, RegisterArray>,
-    tables: HashMap<String, MatchTable>,
+    registers: Vec<RegisterArray>,
+    tables: Vec<MatchTable>,
     hash: HashEngine,
     telemetry: Option<ChassisTelemetry>,
 }
@@ -155,8 +158,8 @@ impl Chassis {
         Chassis {
             config,
             cost: CostModel::for_profile(config.profile),
-            registers: HashMap::new(),
-            tables: HashMap::new(),
+            registers: Vec::new(),
+            tables: Vec::new(),
             hash: HashEngine::new(mac),
             telemetry: None,
         }
@@ -194,9 +197,12 @@ impl Chassis {
     /// Panics if a register with the same name already exists — duplicate
     /// instantiation is a program bug.
     pub fn declare_register(&mut self, reg: RegisterArray) {
-        let name = reg.name().to_string();
-        let prev = self.registers.insert(name.clone(), reg);
-        assert!(prev.is_none(), "register {name} declared twice");
+        let name = reg.name();
+        assert!(
+            self.register(name).is_err(),
+            "register {name} declared twice"
+        );
+        self.registers.push(reg);
     }
 
     /// Declares a match-action table.
@@ -205,37 +211,41 @@ impl Chassis {
     ///
     /// Panics on duplicate table names.
     pub fn declare_table(&mut self, table: MatchTable) {
-        let name = table.name().to_string();
-        let prev = self.tables.insert(name.clone(), table);
-        assert!(prev.is_none(), "table {name} declared twice");
+        let name = table.name();
+        assert!(self.table(name).is_err(), "table {name} declared twice");
+        self.tables.push(table);
     }
 
     /// Direct (control-plane-side) register access, as the switch driver
     /// performs it. This is the surface the §II-A adversary tampers with.
     pub fn register(&self, name: &str) -> Result<&RegisterArray, ChassisError> {
         self.registers
-            .get(name)
+            .iter()
+            .find(|r| r.name() == name)
             .ok_or_else(|| ChassisError::NoSuchRegister(name.to_string()))
     }
 
     /// Mutable register access (driver writes).
     pub fn register_mut(&mut self, name: &str) -> Result<&mut RegisterArray, ChassisError> {
         self.registers
-            .get_mut(name)
+            .iter_mut()
+            .find(|r| r.name() == name)
             .ok_or_else(|| ChassisError::NoSuchRegister(name.to_string()))
     }
 
     /// Table access for rule installation.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut MatchTable, ChassisError> {
         self.tables
-            .get_mut(name)
+            .iter_mut()
+            .find(|t| t.name() == name)
             .ok_or_else(|| ChassisError::NoSuchTable(name.to_string()))
     }
 
     /// Immutable table access.
     pub fn table(&self, name: &str) -> Result<&MatchTable, ChassisError> {
         self.tables
-            .get(name)
+            .iter()
+            .find(|t| t.name() == name)
             .ok_or_else(|| ChassisError::NoSuchTable(name.to_string()))
     }
 
@@ -286,6 +296,27 @@ impl Chassis {
     where
         F: FnOnce(&mut PacketContext<'_>, &Packet) -> Result<Vec<(PortId, Packet)>, ChassisError>,
     {
+        let mut outputs = Vec::new();
+        let outcome = self.run(now_ns, |ctx| {
+            outputs = program(ctx, packet)?;
+            match outputs
+                .iter()
+                .find(|(port, _)| !ctx.chassis.has_port(*port))
+            {
+                Some(&(port, _)) => Err(ChassisError::NoSuchPort(port)),
+                None => Ok(()),
+            }
+        })?;
+        Ok(ProcessOutcome { outputs, ..outcome })
+    }
+
+    /// [`Chassis::process`] for a program that reads its input from the
+    /// frame it was handed and collects its own outputs: no [`Packet`] in,
+    /// none out, the same metering, costing and telemetry.
+    pub fn run<F>(&mut self, now_ns: u64, program: F) -> Result<ProcessOutcome, ChassisError>
+    where
+        F: FnOnce(&mut PacketContext<'_>) -> Result<(), ChassisError>,
+    {
         let mut ctx = PacketContext {
             chassis: self,
             now_ns,
@@ -294,14 +325,9 @@ impl Chassis {
             recirculations: 0,
             stages_this_pass: 0,
         };
-        let outputs = program(&mut ctx, packet)?;
+        program(&mut ctx)?;
         let (stages_used, hash_passes, recirculations) =
             (ctx.stages_used, ctx.hash_passes, ctx.recirculations);
-        for (port, _) in &outputs {
-            if !self.has_port(*port) {
-                return Err(ChassisError::NoSuchPort(*port));
-            }
-        }
         if let Some(t) = &self.telemetry {
             t.packets.inc();
             t.stages.add(u64::from(stages_used));
@@ -326,7 +352,7 @@ impl Chassis {
         }
         let cost_ns = self.cost.packet_ns(hash_passes, recirculations);
         Ok(ProcessOutcome {
-            outputs,
+            outputs: Vec::new(),
             cost_ns,
             stages_used,
             hash_passes,

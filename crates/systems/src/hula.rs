@@ -304,6 +304,69 @@ mod tests {
         outs
     }
 
+    /// Pins the pipeline footprint of authenticated HULA hops on the agent:
+    /// stages, hash passes and modelled cost per probe, with the digest
+    /// verify, the app's register stages and one seal per forwarded copy
+    /// all in one pass.
+    #[test]
+    fn authenticated_probe_hop_footprint_is_pinned() {
+        use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+        use p4auth_primitives::mac::HalfSipHashMac;
+        use p4auth_primitives::Key64;
+        use p4auth_telemetry::Registry;
+        use p4auth_wire::body::InNetwork;
+        use p4auth_wire::ids::SeqNum;
+        use p4auth_wire::Message;
+        use std::sync::Arc;
+
+        let app = HulaApp::boxed(HulaConfig::new(8, 3));
+        let mut sw = P4AuthSwitch::new(
+            AgentConfig::new(SwitchId::new(1), 4, Key64::new(1)),
+            Some(app),
+        );
+        let registry = Arc::new(Registry::new());
+        sw.set_telemetry(registry.clone());
+        for p in 1..=3 {
+            sw.install_key(PortId::new(p), Key64::new(100 + u64::from(p)));
+        }
+        let mut stages = 0;
+        // (stages, hash passes, cost ns, recirculations, copies forwarded)
+        let mut hop = |seq, round, util| {
+            let payload = Probe {
+                dst: 5,
+                round,
+                util,
+            }
+            .encode();
+            let inner = InNetwork::new(HULA_SYSTEM_ID, payload);
+            let frame =
+                Message::in_network(SwitchId::new(2), PortId::new(1), SeqNum::new(seq), inner)
+                    .sealed(&HalfSipHashMac::default(), Key64::new(101))
+                    .encode();
+            let out = sw.on_packet(0, PortId::new(1), &frame);
+            let total = registry.snapshot().counter("dp_stages", "S1").unwrap();
+            let used = total - std::mem::replace(&mut stages, total);
+            (
+                used,
+                out.hash_passes,
+                out.cost_ns,
+                out.recirculations,
+                out.outputs.len(),
+            )
+        };
+        // A new best path, first of its round: verify 1 + local util 1 +
+        // best-path reads 3 and writes 3 + seen read and write 2 + a seal
+        // per other data port 2 = 12 stages, exactly the Tofino budget;
+        // 400 ns pipeline + 3 hash passes at 25 ns.
+        assert_eq!(hop(1, 1, 10), (12, 3, 475, 0, 2));
+        // The same round again via the best hop: the path refreshes, the
+        // flood dedup drops the copy after its seen-round read.
+        assert_eq!(hop(2, 1, 10), (9, 1, 425, 0, 0));
+        // A worse probe of a new round via the best hop still refreshes it
+        // and floods.
+        assert_eq!(hop(3, 2, 60), (12, 3, 475, 0, 2));
+    }
+
     #[test]
     fn probe_roundtrip() {
         let p = Probe {

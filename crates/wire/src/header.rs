@@ -90,19 +90,6 @@ impl Header {
         buf.put_u32(self.digest.value());
     }
 
-    /// The bytes covered by the digest: every header field *except* the
-    /// digest itself, in wire order.
-    pub fn digest_input(&self) -> [u8; HEADER_LEN - 4] {
-        let mut out = [0u8; HEADER_LEN - 4];
-        out[0] = self.hdr_type as u8;
-        out[1] = self.msg_type;
-        out[2..6].copy_from_slice(&self.seq_num.value().to_be_bytes());
-        out[6] = self.key_version.value();
-        out[7..9].copy_from_slice(&self.sender.value().to_be_bytes());
-        out[9] = self.port.value();
-        out
-    }
-
     /// Decodes a header from `buf`.
     ///
     /// # Errors
@@ -162,13 +149,21 @@ mod tests {
         assert_eq!(decoded, h);
     }
 
+    /// The digest's input from a frame holding only `h`: every header
+    /// field except the digest, in wire order.
+    fn digest_input(h: &Header) -> Vec<u8> {
+        let mut frame = Vec::new();
+        h.encode_into(&mut frame);
+        crate::message::digest_parts(&frame).concat()
+    }
+
     #[test]
     fn digest_input_excludes_digest() {
         let mut a = sample();
         let mut b = sample();
         a.digest = Digest32::new(1);
         b.digest = Digest32::new(2);
-        assert_eq!(a.digest_input(), b.digest_input());
+        assert_eq!(digest_input(&a), digest_input(&b));
     }
 
     #[test]
@@ -202,8 +197,8 @@ mod tests {
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(
-                v.digest_input(),
-                base.digest_input(),
+                digest_input(v),
+                digest_input(&base),
                 "field {i} not covered"
             );
         }

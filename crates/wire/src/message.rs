@@ -4,10 +4,23 @@ use crate::body::{Alert, Body, InNetwork, KeyExchange, RegisterOp};
 use crate::error::DecodeError;
 use crate::header::{Header, HEADER_LEN};
 use crate::ids::{KeyVersion, PortId, SeqNum, SwitchId};
-use bytes::BufMut;
 use p4auth_primitives::mac::Mac;
 use p4auth_primitives::{Digest32, Key64};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+
+/// Where the digest sits in an encoded frame: the last four header bytes.
+const DIGEST_FIELD: Range<usize> = HEADER_LEN - 4..HEADER_LEN;
+
+/// The slices of an encoded frame the digest covers (Eqn. 4): the header
+/// without its digest, then the body, exactly as they are on the wire.
+///
+/// # Panics
+///
+/// Panics if `frame` is shorter than a header.
+pub fn digest_parts(frame: &[u8]) -> [&[u8]; 2] {
+    [&frame[..DIGEST_FIELD.start], &frame[DIGEST_FIELD.end..]]
+}
 
 /// A complete P4Auth protocol message.
 ///
@@ -79,16 +92,12 @@ impl Message {
     /// The byte string the digest is computed over:
     /// `header-without-digest || payload`.
     pub fn digest_input(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN - 4 + self.body.wire_len());
-        out.extend_from_slice(&self.header.digest_input());
-        self.body.encode_into(&mut out);
-        out
+        digest_parts(&self.encode()).concat()
     }
 
     /// Computes the digest under `key` and installs it in the header.
     pub fn seal(&mut self, mac: &dyn Mac, key: Key64) {
-        let input = self.digest_input();
-        self.header.digest = mac.compute(key, &[&input]);
+        self.header.digest = mac.compute(key, &digest_parts(&self.encode()));
     }
 
     /// Sealed copy of this message.
@@ -100,8 +109,31 @@ impl Message {
 
     /// Verifies the installed digest under `key` (constant-time compare).
     pub fn verify(&self, mac: &dyn Mac, key: Key64) -> bool {
-        let input = self.digest_input();
-        mac.verify(key, &[&input], self.header.digest)
+        Message::verify_frame(&self.encode(), mac, key)
+    }
+
+    /// Verifies a received frame's digest under `key` over the frame's own
+    /// bytes ([`digest_parts`]) rather than over a re-encoding of what
+    /// [`Message::decode`] kept, so bytes the decoder skips (reserved and
+    /// unused fields) stay covered. Frames shorter than a header never
+    /// verify.
+    pub fn verify_frame(frame: &[u8], mac: &dyn Mac, key: Key64) -> bool {
+        let Some(&[a, b, c, d]) = frame.get(DIGEST_FIELD) else {
+            return false;
+        };
+        let digest = Digest32::new(u32::from_be_bytes([a, b, c, d]));
+        mac.verify(key, &digest_parts(frame), digest)
+    }
+
+    /// Encodes the message into one exact-size frame and seals the frame
+    /// in place: `digest` is computed over its [`digest_parts`] and written
+    /// into its digest field. With `digest` the MAC under `key`, the frame
+    /// equals `self.clone().sealed(mac, key).encode()`.
+    pub fn encode_sealed_with(&self, digest: impl FnOnce(&[&[u8]]) -> Digest32) -> Vec<u8> {
+        let mut frame = self.encode();
+        let digest = digest(&digest_parts(&frame));
+        frame[DIGEST_FIELD].copy_from_slice(&digest.to_be_bytes());
+        frame
     }
 
     /// The digest currently installed in the header.
@@ -120,12 +152,6 @@ impl Message {
         self.header.encode_into(&mut buf);
         self.body.encode_into(&mut buf);
         buf
-    }
-
-    /// Encodes into an existing buffer.
-    pub fn encode_into(&self, buf: &mut impl BufMut) {
-        self.header.encode_into(buf);
-        self.body.encode_into(buf);
     }
 
     /// Decodes a full message; the entire buffer must be consumed.

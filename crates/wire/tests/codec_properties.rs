@@ -7,9 +7,11 @@ use p4auth_wire::body::{
     AdhkdRole, Alert, AlertKind, Body, EakStep, InNetwork, KexContext, KeyExchange, NackReason,
     RegisterOp,
 };
+use p4auth_wire::header::HEADER_LEN;
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
 use p4auth_wire::Message;
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn arb_register_op() -> impl Strategy<Value = RegisterOp> {
     prop_oneof![
@@ -114,6 +116,22 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// The bytes of a frame of `msg`'s kind that [`Message::decode`] skips:
+/// the unused value field of a read request, all but the reason byte of a
+/// nack's value field, and the reserved/pad bytes of key exchange. Every
+/// other byte is a protocol field. Frames with none are canonical.
+fn skipped_bytes(msg: &Message) -> Range<usize> {
+    let body = HEADER_LEN;
+    match msg.body() {
+        Body::Register(RegisterOp::ReadReq { .. }) => body + 8..body + 16,
+        Body::Register(RegisterOp::Nack { .. }) => body + 8..body + 15,
+        Body::KeyExchange(KeyExchange::EakSalt { .. }) => body + 4..body + 8,
+        Body::KeyExchange(KeyExchange::Adhkd { .. }) => body + 13..body + 16,
+        Body::KeyExchange(_) => body + 3..body + 4,
+        _ => 0..0,
+    }
+}
+
 proptest! {
     /// Every well-formed message roundtrips byte-exactly.
     #[test]
@@ -141,7 +159,9 @@ proptest! {
     /// semantically identical to the original (flips confined to reserved
     /// padding bytes, which are not protocol fields and are discarded on
     /// parse — exactly like non-PHV bytes on real hardware). Tampering with
-    /// *meaningful* content never goes unnoticed.
+    /// *meaningful* content never goes unnoticed. This checks the decoded
+    /// message; receivers verify the frame as received, which has no such
+    /// exception (`any_bitflip_fails_frame_verification`).
     #[test]
     fn any_bitflip_detected(msg in arb_message(), key: u64, bit in 0usize..4096) {
         let k = Key64::new(key);
@@ -162,6 +182,75 @@ proptest! {
         let _ = Message::decode(&bytes);
     }
 
+    /// Every strict prefix of a valid frame fails to decode (the length of
+    /// every body is fixed or carried in the frame): nothing truncated is
+    /// ever taken for a message, and nothing panics.
+    #[test]
+    fn truncated_frames_fail_closed(msg in arb_message()) {
+        let bytes = msg.encode();
+        for len in 0..bytes.len() {
+            prop_assert!(Message::decode(&bytes[..len]).is_err());
+        }
+    }
+
+    /// Decoding never panics on a valid frame with random bytes
+    /// overwritten, and whatever decodes re-encodes to the same bytes
+    /// except for the bytes the decoder skips, which come back zeroed.
+    /// In-network, alert and register write/ack frames skip none: for
+    /// them `encode(decode(b)) == b`, so the bytes verified are exactly
+    /// the bytes parsed.
+    #[test]
+    fn decode_is_canonical_outside_skipped_bytes(
+        msg in arb_message(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut bytes = msg.encode();
+        for (at, value) in edits {
+            let len = bytes.len();
+            bytes[at % len] = value;
+        }
+        if let Ok(decoded) = Message::decode(&bytes) {
+            let skipped = skipped_bytes(&decoded);
+            let mut expected = bytes.clone();
+            expected[skipped.clone()].fill(0);
+            prop_assert_eq!(decoded.encode(), expected);
+            let canonical = matches!(
+                decoded.body(),
+                Body::InNetwork(_)
+                    | Body::Alert(_)
+                    | Body::Register(RegisterOp::WriteReq { .. } | RegisterOp::Ack { .. })
+            );
+            prop_assert_eq!(canonical, skipped.is_empty());
+        }
+    }
+
+    /// Any single flipped bit anywhere in a sealed frame makes decoding or
+    /// frame verification fail, with no exception for skipped bytes:
+    /// `verify_frame` MACs the frame as received.
+    #[test]
+    fn any_bitflip_fails_frame_verification(msg in arb_message(), key: u64, bit in 0usize..4096) {
+        let k = Key64::new(key);
+        let mac = HalfSipHashMac::default();
+        let mut bytes = msg.sealed(&mac, k).encode();
+        prop_assert!(Message::verify_frame(&bytes, &mac, k));
+        let bit = bit % (bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        if Message::decode(&bytes).is_ok() {
+            prop_assert!(!Message::verify_frame(&bytes, &mac, k));
+        }
+    }
+
+    /// Sealing the encoded frame in place equals sealing the message and
+    /// encoding it.
+    #[test]
+    fn encode_sealed_with_matches_sealed_encode(msg in arb_message(), key: u64) {
+        let k = Key64::new(key);
+        for mac in [&HalfSipHashMac::default() as &dyn Mac, &Crc32Mac] {
+            let frame = msg.encode_sealed_with(|parts| mac.compute(k, parts));
+            prop_assert_eq!(frame, msg.clone().sealed(mac, k).encode());
+        }
+    }
+
     /// Messages sealed under one key never verify under a different key.
     #[test]
     fn cross_key_rejection(msg in arb_message(), k1: u64, k2: u64) {
@@ -179,6 +268,15 @@ proptest! {
         // Header layout: bytes 0..10 then 4-byte digest then payload.
         prop_assert_eq!(&input[..10], &bytes[..10]);
         prop_assert_eq!(&input[10..], &bytes[14..]);
+    }
+}
+
+/// Frames shorter than a header never verify.
+#[test]
+fn short_frames_never_verify() {
+    let mac = HalfSipHashMac::default();
+    for len in 0..HEADER_LEN {
+        assert!(!Message::verify_frame(&vec![0; len], &mac, Key64::new(0)));
     }
 }
 
