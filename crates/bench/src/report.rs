@@ -488,7 +488,7 @@ pub fn metrics() {
 pub fn replicas() {
     banner(
         "replicas — replicated controller end-to-end",
-        "statedb + daemons + ControllerReplica partitioning",
+        "typed rollover table + ControllerReplica partitioning",
     );
     let report =
         p4auth_systems::replicated::run(p4auth_systems::replicated::ReplicatedConfig::default());
@@ -594,7 +594,7 @@ pub fn timeline() {
 /// byte-identical with zero spans dropped, the scheduler-invariance
 /// claim for the span layer. The *defence probe* (the
 /// flood campaign on heap and calendar) yields the end-to-end trace —
-/// frame hops, digest verdicts, statedb writes, daemon wakes, KMP
+/// frame hops, digest verdicts, rollover-table writes, replica wakes, KMP
 /// rounds — from which the mitigation critical path is printed: the
 /// stage children of the `mitigation` root span must number at least
 /// four and their widths must sum exactly to the root's width, which in

@@ -467,9 +467,9 @@ impl Controller {
             .is_some_and(|c| c.eak.is_some() || c.adhkd.is_some())
     }
 
-    /// The established local key and its version for `switch`, if any —
-    /// published by the key-manager daemon to the replica state table so
-    /// peer replicas can verify and seal redirected port-key legs.
+    /// The established local key and its version for `switch`, if any.
+    /// A replica hosting a cross-partition port-key redirect mirrors it
+    /// from the owner's core to verify and seal the redirected legs.
     pub fn local_key_material(&self, switch: SwitchId) -> Option<(Key64, KeyVersion)> {
         let chan = self.switches.get(&switch)?;
         chan.local.current().map(|k| (k, chan.local.version()))
@@ -516,9 +516,9 @@ impl Controller {
     }
 
     /// Records a zero-width trace span at this controller's trace source
-    /// (no-op without telemetry or with tracing disabled). Daemons that
-    /// act *through* this controller use it to stamp their statedb writes
-    /// and wakeups into the same span stream.
+    /// (no-op without telemetry or with tracing disabled). A replica's
+    /// rollover step uses it to stamp its table writes and wakeups into
+    /// the same span stream.
     pub(crate) fn trace_instant(&self, kind: SpanKind, now_ns: u64, arg_a: u64, arg_b: u64) {
         if let Some(t) = &self.telemetry {
             t.trace_instant(kind, now_ns, arg_a, arg_b);

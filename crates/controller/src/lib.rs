@@ -22,14 +22,13 @@
 //!   tracking per `(peer, channel)` that automatically rolls keys or
 //!   quarantines a channel when forged digests or replays flood it.
 //!
-//! On top of the protocol core, the crate provides the *split* control
-//! plane (sonic-swss shape): a deterministic pub/sub [`statedb`] that
-//! per-domain orchestration [`daemons`] (key manager, register outcomes)
-//! coordinate through, and a [`replica`] layer that partitions switches
-//! across N [`ControllerReplica`]s by a deterministic hash, with versioned
-//! bulk key rollover that is KMP-retry- and replica-restart-safe. Both
-//! shapes detect floods the same way: the [`defence`] loop inside the
-//! core that sees a channel's rejects mitigates per reject.
+//! On top of the protocol core, the crate provides the *replicated*
+//! control plane: a [`replica`] layer that partitions switches across N
+//! [`ControllerReplica`]s by a deterministic hash, coordinating through
+//! one typed rollover table ([`statedb`]) so that versioned bulk key
+//! rollover is KMP-retry- and replica-restart-safe. Both shapes detect
+//! floods the same way: the [`defence`] loop inside the core that sees a
+//! channel's rejects mitigates per reject.
 //!
 //! ```
 //! use p4auth_controller::{Controller, ControllerConfig};
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod controller;
-pub mod daemons;
 pub mod defence;
 pub mod replica;
 pub mod statedb;

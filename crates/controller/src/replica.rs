@@ -1,51 +1,49 @@
 //! Replicated control plane: N [`ControllerReplica`]s partitioning the
 //! switches by a deterministic hash, coordinating through one shared
-//! [`StateDb`].
+//! [`RolloverTable`].
 //!
-//! Each replica is a protocol [`Controller`] core plus the two
-//! orchestration [`daemons`](crate::daemons). Flood detection stays in
-//! the core: with [`ReplicaSet::enable_defence`] armed, each core's
-//! per-reject sliding windows watch the channels of the switches it
-//! owns, exactly as the single [`Controller`] does. The [`ReplicaSet`]
-//! owns the shared state table, routes incoming frames to the replica
-//! responsible for the sending switch, and implements the two places
-//! where replicas must cooperate:
+//! Each replica is a protocol [`Controller`] core plus the bulk-rollover
+//! step it runs over the table for the switches it owns. Flood detection
+//! stays in the core: with [`ReplicaSet::enable_defence`] armed, each
+//! core's per-reject sliding windows watch the channels of the switches
+//! it owns, exactly as the single [`Controller`] does. The
+//! [`ReplicaSet`] owns the shared table, routes incoming frames to the
+//! replica responsible for the sending switch, and implements the two
+//! places where replicas must cooperate:
 //!
 //! * **Versioned bulk key rollover** — [`ReplicaSet::start_bulk_rollover`]
-//!   bumps the `kmp/epoch` target in the table; every replica's
-//!   key-manager daemon then rolls its own partition independently,
-//!   recording per-switch progress (with the baseline key version) in
-//!   the table. The epoch cannot start while the previous one is
-//!   incomplete, a restarted replica resumes from the table without
-//!   re-baselining, and completion is judged by key-version movement —
-//!   together these make the rollover KMP-retry-safe and
-//!   restart-safe (no skipped or doubled derivation; proptested in
-//!   `tests/replica_rollover.rs`).
+//!   bumps the epoch target in the table; every replica then rolls its
+//!   own partition independently, recording per-switch progress (with
+//!   the baseline key version) in the table. The epoch cannot start
+//!   while the previous one is incomplete, a restarted replica resumes
+//!   from the table without re-baselining, and completion is judged by
+//!   key-version movement — together these make the rollover
+//!   KMP-retry-safe and restart-safe (no skipped or doubled derivation;
+//!   proptested in `tests/replica_rollover.rs`).
 //!
 //! * **Cross-partition port-key redirects** — Fig. 14(c) runs both legs
 //!   of an ADHKD exchange through *one* controller endpoint, but the
 //!   two switches may hash to different replicas. The initiator's owner
 //!   becomes the redirect *home*: it mirrors the responder's local key
-//!   (published in the `keys` table by the responder's key manager),
-//!   takes over the outbound sequence counter toward the responder
-//!   (agents demand strictly increasing sequence numbers from
-//!   `SwitchId::CONTROLLER`, whichever replica seals the frame), and a
-//!   lease in the `leases` table keeps the responder's own key manager
-//!   from touching the channel mid-redirect. When the answer leg
-//!   passes through, the counter is handed back and the lease dropped.
+//!   (read from the responder owner's core), takes over the outbound
+//!   sequence counter toward the responder (agents demand strictly
+//!   increasing sequence numbers from `SwitchId::CONTROLLER`, whichever
+//!   replica seals the frame), and a lease in the table keeps the
+//!   responder's owner from rolling that switch mid-redirect. When the
+//!   answer leg passes through — or the home core abandons the
+//!   exchange — the counter is handed back and the lease dropped.
 //!
 //! Determinism: replicas step in index order, partitions iterate in
-//! switch-id order, the state table is `BTreeMap`-backed, and each
-//! replica's RNG seed derives from the base seed and its index — so a
-//! run with the same topology and seeds is bit-identical, which the CI
-//! two-run gate checks end-to-end.
+//! switch-id order, the table is `BTreeMap`-backed, and each replica's
+//! RNG seed derives from the base seed and its index — so a run with the
+//! same topology and seeds is bit-identical, which the CI two-run gate
+//! checks end-to-end.
 
 use crate::controller::{Controller, ControllerConfig, ControllerEvent, Outgoing};
-use crate::daemons::{tables, KeyManagerDaemon, RegisterDaemon};
 use crate::defence::DefenceConfig;
-use crate::statedb::{StateDb, Value};
+use crate::statedb::{KexStatus, RolloverTable};
 use p4auth_primitives::Key64;
-use p4auth_telemetry::Registry;
+use p4auth_telemetry::{Registry, SpanKind};
 use p4auth_wire::body::{AdhkdRole, Body, KexContext, KeyExchange};
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
 use p4auth_wire::Message;
@@ -68,18 +66,19 @@ pub fn partition_of(switch: SwitchId, n: usize) -> usize {
     (mix(switch.value() as u64) % n.max(1) as u64) as usize
 }
 
-/// One replica: a protocol core plus its orchestration daemons. Build
-/// via [`ReplicaSet::new`]; the set owns the shared state table.
+/// One replica: a protocol core plus the switches it owns. Build via
+/// [`ReplicaSet::new`]; the set owns the shared table.
 pub struct ControllerReplica {
     /// Replica index within the set.
     pub index: usize,
-    /// Telemetry / fan-out label, `replica{index}`.
+    /// Telemetry label, `replica{index}`.
     pub label: String,
     /// The protocol core (sealing, verifying, exchanges).
     pub core: Controller,
-    km: KeyManagerDaemon,
-    registers: RegisterDaemon,
     owned: Vec<SwitchId>,
+    /// The table's write count when this replica last looked; a higher
+    /// count at the next step is its wakeup edge.
+    seen_writes: u64,
 }
 
 impl ControllerReplica {
@@ -87,22 +86,103 @@ impl ControllerReplica {
     pub fn owned(&self) -> &[SwitchId] {
         &self.owned
     }
+
+    /// One deterministic rollover step: reconcile the partition against
+    /// `table`, issue whatever exchanges are due, record the fan-out
+    /// latency once the partition finishes the epoch, and re-drive
+    /// stalled exchanges (capped backoff inside the core). Every
+    /// decision re-derives from the table, so a restarted replica
+    /// resumes exactly where the old one stopped.
+    fn step(&mut self, table: &mut RolloverTable, now_ns: u64) -> Vec<Outgoing> {
+        let core = &mut self.core;
+        core.set_now(now_ns);
+        let moved = table.writes() - self.seen_writes;
+        self.seen_writes = table.writes();
+        if moved > 0 {
+            core.trace_instant(SpanKind::DaemonWake, now_ns, moved, 0);
+        }
+        let mut out = Vec::new();
+        let epoch = table.epoch();
+        let before = table.writes();
+        if epoch > 0 {
+            for &switch in &self.owned {
+                let live = core.local_key_material(switch).map(|(_, v)| v);
+                // A new epoch (or a switch the table has never seen) gets
+                // a pending entry with the live key version as baseline.
+                // Never re-baseline a pending entry of the same epoch: the
+                // stored baseline is what makes completion crash-safe.
+                let status = match table.status(switch) {
+                    Some(s) if s.epoch() == epoch => s,
+                    _ => KexStatus::Pending {
+                        epoch,
+                        baseline: live,
+                    },
+                };
+                let status = match status {
+                    KexStatus::Pending { baseline, .. } if live.is_some() && live != baseline => {
+                        KexStatus::Done { epoch }
+                    }
+                    s => s,
+                };
+                table.set_status(switch, status);
+                // A leased channel belongs to a cross-partition redirect
+                // in flight; an exchange in flight is re-driven by
+                // `retry_stalled` below if its frames were lost.
+                if matches!(status, KexStatus::Pending { .. })
+                    && table.lease(switch).is_none()
+                    && !core.kex_in_flight(switch)
+                {
+                    out.extend(if core.has_local_key(switch) {
+                        core.local_key_update(switch)
+                    } else {
+                        core.local_key_init(switch)
+                    });
+                }
+            }
+        }
+        let changed = table.writes() - before;
+        if changed > 0 {
+            core.trace_instant(SpanKind::StateDbWrite, now_ns, changed, 0);
+        }
+
+        // Record this partition's fan-out latency exactly once per epoch
+        // (the table entry survives a replica restart).
+        if epoch > 0
+            && table.fanout_ns(self.index, epoch).is_none()
+            && table.partition_done(&self.owned, epoch)
+        {
+            let started = table.started_ns();
+            let latency = now_ns.saturating_sub(started);
+            table.record_fanout(self.index, epoch, latency);
+            core.record_rollover_fanout(latency);
+            core.trace_span(
+                SpanKind::RolloverEpoch,
+                started.min(now_ns),
+                now_ns,
+                epoch,
+                latency,
+            );
+        }
+
+        out.extend(core.retry_stalled());
+        out
+    }
 }
 
-/// An in-flight cross-partition port-key redirect, keyed by each
-/// participating switch.
+/// An in-flight port-key redirect, stored under each participating
+/// switch.
 #[derive(Clone, Copy, Debug)]
 struct RedirectLease {
     /// Replica hosting both legs of the redirect.
     home: usize,
-    /// The other switch in the exchange.
-    peer: SwitchId,
+    /// The exchange as started: `(sw1, port1, sw2, port2)`.
+    link: (SwitchId, PortId, SwitchId, PortId),
 }
 
-/// A set of controller replicas sharing one state table. See the
+/// A set of controller replicas sharing one rollover table. See the
 /// module docs for the coordination protocol.
 pub struct ReplicaSet {
-    db: StateDb,
+    table: RolloverTable,
     replicas: Vec<ControllerReplica>,
     redirects: BTreeMap<SwitchId, RedirectLease>,
 }
@@ -113,38 +193,31 @@ impl ReplicaSet {
     /// replica's RNG seed derives from `config.rng_seed` and its index.
     pub fn new(n: usize, config: ControllerConfig, switches: &[(SwitchId, Key64)]) -> Self {
         assert!(n >= 1, "a replica set needs at least one replica");
-        let mut db = StateDb::new();
         let mut replicas = Vec::with_capacity(n);
         for index in 0..n {
-            let mut owned: Vec<SwitchId> = switches
-                .iter()
-                .map(|(id, _)| *id)
-                .filter(|id| partition_of(*id, n) == index)
-                .collect();
-            owned.sort_unstable();
             let replica_config = ControllerConfig {
                 rng_seed: mix(config.rng_seed ^ index as u64),
                 ..config
             };
             let mut core = Controller::new(replica_config);
-            for (id, seed) in switches {
-                if partition_of(*id, n) == index {
-                    core.register_switch(*id, *seed);
+            let mut owned = Vec::new();
+            for &(id, seed) in switches {
+                if partition_of(id, n) == index {
+                    core.register_switch(id, seed);
+                    owned.push(id);
                 }
             }
-            let label = format!("replica{index}");
-            let km = KeyManagerDaemon::new(&mut db, owned.clone(), label.clone());
+            owned.sort_unstable();
             replicas.push(ControllerReplica {
                 index,
-                label,
+                label: format!("replica{index}"),
                 core,
-                km,
-                registers: RegisterDaemon,
                 owned,
+                seen_writes: 0,
             });
         }
         ReplicaSet {
-            db,
+            table: RolloverTable::new(),
             replicas,
             redirects: BTreeMap::new(),
         }
@@ -170,14 +243,22 @@ impl ReplicaSet {
         &self.replicas
     }
 
-    /// The shared state table (read-only).
-    pub fn db(&self) -> &StateDb {
-        &self.db
+    /// The shared rollover table (read-only).
+    pub fn table(&self) -> &RolloverTable {
+        &self.table
     }
 
     /// The core owning `switch`.
     pub fn core(&self, switch: SwitchId) -> &Controller {
         &self.replicas[self.owner(switch)].core
+    }
+
+    /// Mutable access to the core owning `switch`, clocked to `now_ns`.
+    fn core_at(&mut self, now_ns: u64, switch: SwitchId) -> &mut Controller {
+        let i = self.owner(switch);
+        let core = &mut self.replicas[i].core;
+        core.set_now(now_ns);
+        core
     }
 
     /// Mutable access to the core owning `switch`.
@@ -192,8 +273,7 @@ impl ReplicaSet {
     /// merge into one set-wide series.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         for r in &mut self.replicas {
-            let label = r.label.clone();
-            r.core.set_telemetry_labeled(registry.clone(), &label);
+            r.core.set_telemetry_labeled(registry.clone(), &r.label);
         }
     }
 
@@ -214,10 +294,10 @@ impl ReplicaSet {
         }
     }
 
-    /// Routes one frame from `switch` to the responsible replica and
-    /// publishes the resulting register-plane outcomes. Port-key
-    /// redirect legs go to the redirect's *home* replica instead of the
-    /// sender's owner; the answer leg completes the redirect.
+    /// Routes one frame from `switch` to the responsible replica.
+    /// Port-key redirect legs go to the redirect's *home* replica
+    /// instead of the sender's owner; the answer leg completes the
+    /// redirect.
     pub fn on_message(
         &mut self,
         now_ns: u64,
@@ -241,21 +321,21 @@ impl ReplicaSet {
                 }
             }
         }
-        let r = &mut self.replicas[target];
-        r.core.set_now(now_ns);
-        let (out, events) = r.core.on_message(from, bytes);
-        r.registers.publish(&mut self.db, now_ns, &events);
+        let core = &mut self.replicas[target].core;
+        core.set_now(now_ns);
+        let reply = core.on_message(from, bytes);
         if answer_leg {
             self.finish_redirect(from);
         }
-        (out, events)
+        reply
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
     /// `(sw2, port2)`. If the switches hash to different replicas, the
     /// initiator's owner becomes the redirect home: it mirrors `sw2`'s
-    /// published local key, takes over the sequence counter toward
-    /// `sw2`, and leases the channel until the answer leg completes.
+    /// local key from `sw2`'s owner, takes over the sequence counter
+    /// toward `sw2`, and leases the channel until the answer leg
+    /// completes.
     pub fn port_key_init(
         &mut self,
         now_ns: u64,
@@ -273,20 +353,31 @@ impl ReplicaSet {
                 home_core.mirror_peer_key(sw2, k, v);
                 home_core.set_channel_seq(sw2, seq);
             }
-            self.db.set(
-                now_ns,
-                tables::LEASES,
-                &sw2.to_string(),
-                Value::U64(home as u64),
-            );
+            self.table.grant_lease(sw2, home);
         }
-        self.redirects
-            .insert(sw1, RedirectLease { home, peer: sw2 });
-        self.redirects
-            .insert(sw2, RedirectLease { home, peer: sw1 });
-        let core = &mut self.replicas[home].core;
-        core.set_now(now_ns);
-        core.port_key_init(sw1, port1, sw2, port2)
+        let lease = RedirectLease {
+            home,
+            link: (sw1, port1, sw2, port2),
+        };
+        self.redirects.insert(sw1, lease);
+        self.redirects.insert(sw2, lease);
+        self.core_at(now_ns, sw1)
+            .port_key_init(sw1, port1, sw2, port2)
+    }
+
+    /// Whether the home core (`sw1`'s owner) still has the port-key
+    /// exchange for exactly this link pending. Link-recovery handlers
+    /// use it to avoid overlapping exchange generations on a flapping
+    /// link (see [`Controller::has_pending_port_exchange`]).
+    pub fn has_pending_port_exchange(
+        &self,
+        sw1: SwitchId,
+        port1: PortId,
+        sw2: SwitchId,
+        port2: PortId,
+    ) -> bool {
+        self.core(sw1)
+            .has_pending_port_exchange(sw1, port1, sw2, port2)
     }
 
     /// Completes the redirect `party` participated in: hands sequence
@@ -296,15 +387,37 @@ impl ReplicaSet {
         let Some(lease) = self.redirects.remove(&party) else {
             return;
         };
-        self.redirects.remove(&lease.peer);
-        for sw in [party, lease.peer] {
+        let (sw1, _, sw2, _) = lease.link;
+        self.redirects
+            .remove(if party == sw1 { &sw2 } else { &sw1 });
+        for sw in [sw1, sw2] {
             let owner = self.owner(sw);
             if owner != lease.home {
                 if let Some(seq) = self.replicas[lease.home].core.channel_seq(sw) {
                     self.replicas[owner].core.set_channel_seq(sw, seq);
                 }
             }
-            self.db.remove(tables::LEASES, &sw.to_string());
+            self.table.release_lease(sw);
+        }
+    }
+
+    /// Finishes every redirect whose home core no longer has the
+    /// exchange pending — `retry_stalled` abandoned it — exactly as a
+    /// completed answer leg would, so no lease outlives its exchange.
+    fn release_abandoned_redirects(&mut self) {
+        let abandoned: Vec<SwitchId> = self
+            .redirects
+            .iter()
+            .filter(|(_, lease)| {
+                let (sw1, port1, sw2, port2) = lease.link;
+                !self.replicas[lease.home]
+                    .core
+                    .has_pending_port_exchange(sw1, port1, sw2, port2)
+            })
+            .map(|(&sw, _)| sw)
+            .collect();
+        for sw in abandoned {
+            self.finish_redirect(sw);
         }
     }
 
@@ -315,10 +428,7 @@ impl ReplicaSet {
 
     /// Starts local-key initialization for `switch` on its owner.
     pub fn local_key_init(&mut self, now_ns: u64, switch: SwitchId) -> Vec<Outgoing> {
-        let i = self.owner(switch);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.local_key_init(switch)
+        self.core_at(now_ns, switch).local_key_init(switch)
     }
 
     /// Triggers a direct DP-DP port-key rollover via `sw1`'s owner.
@@ -329,19 +439,14 @@ impl ReplicaSet {
         port1: PortId,
         sw2: SwitchId,
     ) -> Vec<Outgoing> {
-        let i = self.owner(sw1);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.port_key_update(sw1, port1, sw2)
+        self.core_at(now_ns, sw1).port_key_update(sw1, port1, sw2)
     }
 
     /// Reports a DP-DP port-key install to the owner's defence
     /// accounting (see [`Controller::notify_port_key_installed`]).
     pub fn notify_port_key_installed(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
-        let i = self.owner(peer);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.notify_port_key_installed(peer, channel);
+        self.core_at(now_ns, peer)
+            .notify_port_key_installed(peer, channel);
     }
 
     /// Drains port-channel mitigations from every replica, in replica
@@ -362,10 +467,8 @@ impl ReplicaSet {
         reg: RegId,
         index: u32,
     ) -> Outgoing {
-        let i = self.owner(switch);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.read_register(switch, reg, index)
+        self.core_at(now_ns, switch)
+            .read_register(switch, reg, index)
     }
 
     /// Issues an authenticated register write toward `switch` via its
@@ -378,14 +481,12 @@ impl ReplicaSet {
         index: u32,
         value: u64,
     ) -> Outgoing {
-        let i = self.owner(switch);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.write_register(switch, reg, index, value)
+        self.core_at(now_ns, switch)
+            .write_register(switch, reg, index, value)
     }
 
     /// One orchestration step: every replica (in index order) runs its
-    /// key-manager daemon against the shared table.
+    /// rollover step against the shared table.
     pub fn step(&mut self, now_ns: u64) -> Vec<Outgoing> {
         (0..self.replicas.len())
             .flat_map(|i| self.step_replica(i, now_ns))
@@ -395,9 +496,9 @@ impl ReplicaSet {
     /// Steps only replica `i` — the proptest uses this to interleave
     /// replica progress arbitrarily.
     pub fn step_replica(&mut self, i: usize, now_ns: u64) -> Vec<Outgoing> {
-        let r = &mut self.replicas[i];
-        r.core.set_now(now_ns);
-        r.km.step(&mut self.db, &mut r.core, now_ns)
+        let out = self.replicas[i].step(&mut self.table, now_ns);
+        self.release_abandoned_redirects();
+        out
     }
 
     /// Starts the next bulk key-rollover epoch across *all* partitions.
@@ -406,46 +507,40 @@ impl ReplicaSet {
     /// which is exactly the "skipped derivation" the versioned protocol
     /// rules out. Returns the new epoch number on success.
     pub fn start_bulk_rollover(&mut self, now_ns: u64) -> Option<u64> {
-        let current = KeyManagerDaemon::epoch(&self.db);
+        let current = self.table.epoch();
         if current > 0 && !self.rollover_complete() {
             return None;
         }
         let epoch = current + 1;
-        self.db.set(now_ns, tables::KMP, "epoch", Value::U64(epoch));
-        self.db.set(
-            now_ns,
-            tables::KMP,
-            &format!("started@{epoch}"),
-            Value::U64(now_ns),
-        );
+        self.table.start_epoch(now_ns, epoch);
         Some(epoch)
     }
 
     /// The current bulk-rollover epoch target (0 = never started).
     pub fn rollover_epoch(&self) -> u64 {
-        KeyManagerDaemon::epoch(&self.db)
+        self.table.epoch()
     }
 
     /// Whether every switch on every replica has finished the current
     /// epoch.
     pub fn rollover_complete(&self) -> bool {
-        let epoch = self.rollover_epoch();
+        let epoch = self.table.epoch();
         epoch == 0
             || self
                 .replicas
                 .iter()
-                .all(|r| KeyManagerDaemon::partition_done(&self.db, &r.owned, epoch))
+                .all(|r| self.table.partition_done(&r.owned, epoch))
     }
 
-    /// Simulates a crash/restart of replica `i`'s orchestration: the
-    /// key-manager daemon is rebuilt from scratch with a fresh
-    /// state-table subscription, exactly as a respawned process would
-    /// come up. All rollover progress must therefore be recoverable from
-    /// the table — the mid-rollover restart proptest pins this down. The
-    /// core (keys, sequence counters, defence windows) keeps its state.
+    /// Simulates a crash/restart of replica `i`'s orchestration: it
+    /// keeps no rollover state of its own, so it comes back with only
+    /// the table to go on and its wake cursor at the table's current
+    /// write count, exactly as a respawned process would. All rollover
+    /// progress must therefore be recoverable from the table — the
+    /// mid-rollover restart proptest pins this down. The core (keys,
+    /// sequence counters, defence windows) keeps its state.
     pub fn restart_replica(&mut self, i: usize) {
-        let r = &mut self.replicas[i];
-        r.km = KeyManagerDaemon::new(&mut self.db, r.owned.clone(), r.label.clone());
+        self.replicas[i].seen_writes = self.table.writes();
     }
 
     /// All alerts collected across the replicas, in replica order.
@@ -500,23 +595,66 @@ mod tests {
         assert_eq!(set.rollover_epoch(), 1);
     }
 
+    /// A restart rebuilds the replicas' orchestration from the table
+    /// and writes nothing to it.
     #[test]
     fn restart_rebuilds_daemons_without_losing_table_state() {
         let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds(4));
         set.start_bulk_rollover(0);
         set.step(0);
-        let statuses_before: Vec<_> = set
-            .db()
-            .entries(tables::KMP)
-            .map(|(k, e)| (k.to_string(), e.value.clone()))
-            .collect();
+        let before = set.table().clone();
         set.restart_replica(0);
         set.restart_replica(1);
-        let statuses_after: Vec<_> = set
-            .db()
-            .entries(tables::KMP)
-            .map(|(k, e)| (k.to_string(), e.value.clone()))
-            .collect();
-        assert_eq!(statuses_before, statuses_after, "restart must not write");
+        assert_eq!(set.table(), &before, "restart must not write");
+    }
+
+    /// The rollover step kicks off local-key init for a fresh switch,
+    /// doesn't double-issue while the exchange is in flight, and records
+    /// pending state in the table.
+    #[test]
+    fn rollover_step_initiates_and_does_not_double_issue() {
+        let mut set = ReplicaSet::new(1, ControllerConfig::default(), &seeds(1));
+        let sw = SwitchId::new(1);
+        set.start_bulk_rollover(0);
+        // First step: the replica starts EAK (one frame) and the core's
+        // retry pass re-drives it once for free (the first retry has no
+        // backoff delay) — two frames total, still ONE exchange.
+        let out = set.step(0);
+        assert_eq!(out.len(), 2, "EAK salt #1 + free first retry");
+        assert_eq!(
+            set.table().status(sw),
+            Some(KexStatus::Pending {
+                epoch: 1,
+                baseline: None
+            })
+        );
+        // Second step at the same instant: exchange in flight, backoff
+        // not yet elapsed — no second exchange and a quiet retry pass.
+        let out = set.step(0);
+        assert!(out.is_empty(), "no double-issue: {}", out.len());
+        assert!(set.core(sw).kex_in_flight(sw));
+    }
+
+    /// One step over a multi-switch partition writes one pending entry
+    /// per switch, and a repeated step at the same instant writes
+    /// nothing.
+    #[test]
+    fn rollover_step_writes_once_per_switch_and_is_idempotent() {
+        let mut set = ReplicaSet::new(1, ControllerConfig::default(), &seeds(8));
+        set.start_bulk_rollover(0);
+
+        let before = set.table().writes();
+        let out = set.step(0);
+        assert!(!out.is_empty(), "rollover exchanges must be issued");
+        assert_eq!(set.table().writes() - before, 8);
+
+        let before = set.table().writes();
+        let out = set.step(0);
+        assert!(out.is_empty(), "no double-issue");
+        assert_eq!(
+            set.table().writes(),
+            before,
+            "idempotent step writes nothing"
+        );
     }
 }

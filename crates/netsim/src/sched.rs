@@ -177,7 +177,7 @@ const FIRST_RETUNE_AT: usize = 32;
 ///   the queue re-tunes itself to the live population: the bucket width
 ///   becomes the population's average inter-event gap (so buckets hold
 ///   `O(1)` events regardless of density) and the ring grows to hold the
-///   population (up to [`MAX_BUCKETS`]). The threshold doubles with each
+///   population (up to `MAX_BUCKETS`, 2¹⁵ buckets). The threshold doubles with each
 ///   re-tune, keeping the re-bucketing amortized `O(1)`.
 /// * **Determinism**: pops always yield the globally smallest `(at, seq)`
 ///   key, so the drain order is identical to [`HeapScheduler`]'s.

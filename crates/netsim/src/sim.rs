@@ -296,7 +296,8 @@ impl SimTelemetry {
 /// queue itself is pluggable ([`SchedulerKind`]): the default calendar
 /// queue and the reference binary heap drain events in exactly the same
 /// `(time, seq)` order, so results are bit-identical either way. Tiebreak
-/// keys pack `(source node, per-source count)`; see [`SRC_SEQ_BITS`].
+/// keys pack `(source node, per-source count)`, the count in the low
+/// `SRC_SEQ_BITS` (48) bits.
 pub struct Simulator {
     topology: Topology,
     /// Node behaviours, dense by raw switch id.

@@ -2,7 +2,7 @@
 //! run, with deterministic output on either scheduler.
 //!
 //! [`crate::Simulator::set_export_interval`] installs an
-//! [`ExportRecorder`] that snapshots the attached registry every
+//! `ExportRecorder` that snapshots the attached registry every
 //! `interval_ns` of *simulated* time. Capture happens on the event loop's
 //! pop path: whenever the next popped event carries the clock to or past
 //! a grid boundary `k × interval`, the registry is snapshotted *before*

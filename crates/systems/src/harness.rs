@@ -3,14 +3,14 @@
 //! the key-management bootstrap.
 
 use p4auth_controller::{
-    Controller, ControllerConfig, ControllerEvent, DefenceConfig, MitigationKind, Outgoing,
-    ReplicaSet,
+    Controller, ControllerConfig, ControllerEvent, DefenceConfig, MitigationAction, MitigationKind,
+    Outgoing, ReplicaSet,
 };
 use p4auth_core::agent::{AgentConfig, AgentEvent, InNetworkApp, P4AuthSwitch};
 use p4auth_netsim::frame::FrameBytes;
 use p4auth_netsim::sim::{Outbox, SimNode, Simulator, TopologyEvent};
 use p4auth_netsim::time::SimTime;
-use p4auth_netsim::topology::Topology;
+use p4auth_netsim::topology::{Endpoint, Topology};
 
 pub use p4auth_netsim::sched::SchedulerKind;
 pub use p4auth_netsim::topology::HOST_ID_BASE;
@@ -20,10 +20,14 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+/// Whether `id` is a switch (neither the controller nor a host).
+fn is_switch(id: SwitchId) -> bool {
+    !id.is_controller() && id.value() < HOST_ID_BASE
+}
+
 /// Whether a link connects two switch data planes (as opposed to touching
 /// the controller or a host).
 pub(crate) fn is_dp_dp_link(l: &p4auth_netsim::topology::Link) -> bool {
-    let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
     is_switch(l.a.node) && is_switch(l.b.node)
 }
 
@@ -65,37 +69,9 @@ pub struct SwitchNode {
 
 impl SwitchNode {
     /// Wraps a shared agent; `cpu_netport` is the topology port carrying
-    /// the C-DP channel (if any). Port-key completions are reported to
-    /// `controller` (the single-controller wiring).
+    /// the C-DP channel (if any). DP-DP port-key completions are reported
+    /// to `notify`.
     pub fn new(
-        id: SwitchId,
-        agent: SharedSwitch,
-        cpu_netport: Option<PortId>,
-        controller: Option<SharedController>,
-    ) -> Self {
-        let notify = controller.map(|c| {
-            let f: PortKeyNotifier = Rc::new(RefCell::new(
-                move |now_ns: u64, peer: SwitchId, channel: PortId| {
-                    let mut c = c.borrow_mut();
-                    c.set_now(now_ns);
-                    c.notify_port_key_installed(peer, channel);
-                },
-            ));
-            f
-        });
-        SwitchNode {
-            id,
-            agent,
-            cpu_netport,
-            notify,
-            compromised: Rc::new(Cell::new(false)),
-        }
-    }
-
-    /// Like [`SwitchNode::new`] but with an arbitrary completion
-    /// callback — the replicated wiring routes completions to the owner
-    /// replica instead of a single controller.
-    pub fn with_notifier(
         id: SwitchId,
         agent: SharedSwitch,
         cpu_netport: Option<PortId>,
@@ -253,46 +229,127 @@ impl SimNode for TrafficSource {
     }
 }
 
-/// A [`SimNode`] wrapping the [`Controller`]. The controller reaches switch
-/// `i` through its own port `i - 1` (matching [`Topology::chain`] and the
-/// builder below).
-pub struct ControllerNode {
-    controller: SharedController,
+/// The calls the harness makes on a control plane — the monolithic
+/// [`Controller`] or a [`ReplicaSet`] — so the frame, mitigation,
+/// link-recovery and bootstrap paths exist once for both.
+///
+/// A replica set clocks the responsible core to `now_ns` wherever a call
+/// takes it. The monolithic controller is clocked only by
+/// [`ControlPlane::on_message`] and its node's timer; elsewhere it keeps
+/// the time last pushed.
+trait ControlPlane {
+    fn on_message(
+        &mut self,
+        now_ns: u64,
+        from: SwitchId,
+        bytes: &[u8],
+    ) -> (Vec<Outgoing>, Vec<ControllerEvent>);
+    fn take_port_actions(&mut self) -> Vec<MitigationAction>;
+    fn port_key_update(
+        &mut self,
+        now_ns: u64,
+        sw1: SwitchId,
+        port1: PortId,
+        sw2: SwitchId,
+    ) -> Vec<Outgoing>;
+    fn local_key_init(&mut self, now_ns: u64, switch: SwitchId) -> Vec<Outgoing>;
+    fn has_local_key(&self, switch: SwitchId) -> bool;
+    fn port_key_init(&mut self, now_ns: u64, a: Endpoint, b: Endpoint) -> Vec<Outgoing>;
+    fn has_pending_port_exchange(&self, a: Endpoint, b: Endpoint) -> bool;
+}
+
+impl ControlPlane for Controller {
+    fn on_message(
+        &mut self,
+        now_ns: u64,
+        from: SwitchId,
+        bytes: &[u8],
+    ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
+        self.set_now(now_ns);
+        Controller::on_message(self, from, bytes)
+    }
+    fn take_port_actions(&mut self) -> Vec<MitigationAction> {
+        Controller::take_port_actions(self)
+    }
+    fn port_key_update(
+        &mut self,
+        _: u64,
+        sw1: SwitchId,
+        port1: PortId,
+        sw2: SwitchId,
+    ) -> Vec<Outgoing> {
+        Controller::port_key_update(self, sw1, port1, sw2)
+    }
+    fn local_key_init(&mut self, _: u64, switch: SwitchId) -> Vec<Outgoing> {
+        Controller::local_key_init(self, switch)
+    }
+    fn has_local_key(&self, switch: SwitchId) -> bool {
+        Controller::has_local_key(self, switch)
+    }
+    fn port_key_init(&mut self, _: u64, a: Endpoint, b: Endpoint) -> Vec<Outgoing> {
+        Controller::port_key_init(self, a.node, a.port, b.node, b.port)
+    }
+    fn has_pending_port_exchange(&self, a: Endpoint, b: Endpoint) -> bool {
+        Controller::has_pending_port_exchange(self, a.node, a.port, b.node, b.port)
+    }
+}
+
+impl ControlPlane for ReplicaSet {
+    fn on_message(
+        &mut self,
+        now_ns: u64,
+        from: SwitchId,
+        bytes: &[u8],
+    ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
+        ReplicaSet::on_message(self, now_ns, from, bytes)
+    }
+    fn take_port_actions(&mut self) -> Vec<MitigationAction> {
+        ReplicaSet::take_port_actions(self)
+    }
+    fn port_key_update(
+        &mut self,
+        now_ns: u64,
+        sw1: SwitchId,
+        port1: PortId,
+        sw2: SwitchId,
+    ) -> Vec<Outgoing> {
+        ReplicaSet::port_key_update(self, now_ns, sw1, port1, sw2)
+    }
+    fn local_key_init(&mut self, now_ns: u64, switch: SwitchId) -> Vec<Outgoing> {
+        ReplicaSet::local_key_init(self, now_ns, switch)
+    }
+    fn has_local_key(&self, switch: SwitchId) -> bool {
+        ReplicaSet::has_local_key(self, switch)
+    }
+    fn port_key_init(&mut self, now_ns: u64, a: Endpoint, b: Endpoint) -> Vec<Outgoing> {
+        ReplicaSet::port_key_init(self, now_ns, a.node, a.port, b.node, b.port)
+    }
+    fn has_pending_port_exchange(&self, a: Endpoint, b: Endpoint) -> bool {
+        ReplicaSet::has_pending_port_exchange(self, a.node, a.port, b.node, b.port)
+    }
+}
+
+/// What a control-plane node holds besides the plane: the event sink,
+/// the DP-DP adjacency `(switch, port)` → peer switch (for translating
+/// port-channel defence mitigations into `portKeyUpdate` messages) and
+/// the agent handles (for flipping agent-side quarantine enforcement).
+struct PlaneWiring {
     events: Rc<RefCell<Vec<ControllerEvent>>>,
-    rollover: SharedRollover,
-    /// DP-DP adjacency: `(switch, port)` → peer switch, for translating
-    /// defence mitigations on port channels into `portKeyUpdate` messages.
     links: HashMap<(SwitchId, PortId), SwitchId>,
-    /// Agent handles, for flipping agent-side quarantine enforcement.
     switches: HashMap<SwitchId, SharedSwitch>,
 }
 
-impl ControllerNode {
-    /// Wraps a shared controller; `events` accumulates everything observed.
-    /// `links` maps `(switch, port)` to the peer switch for every DP-DP
-    /// link and `switches` holds the agent handles — both may be empty
-    /// when the adaptive defence loop is unused.
-    pub fn new(
-        controller: SharedController,
-        events: Rc<RefCell<Vec<ControllerEvent>>>,
-        rollover: SharedRollover,
-        links: HashMap<(SwitchId, PortId), SwitchId>,
-        switches: HashMap<SwitchId, SharedSwitch>,
-    ) -> Self {
-        ControllerNode {
-            controller,
-            events,
-            rollover,
-            links,
-            switches,
-        }
-    }
-
+impl PlaneWiring {
     /// Turns defence mitigations on DP-DP port channels into wire actions:
     /// flips agent-side quarantine enforcement and issues the port-key
     /// rollover that (on completion) lifts it.
-    fn apply_port_actions(&self, controller: &mut Controller, outgoing: &mut Vec<Outgoing>) {
-        for action in controller.take_port_actions() {
+    fn apply_port_actions(
+        &self,
+        plane: &mut impl ControlPlane,
+        now_ns: u64,
+        outgoing: &mut Vec<Outgoing>,
+    ) {
+        for action in plane.take_port_actions() {
             if action.kind == MitigationKind::Quarantine {
                 if let Some(agent) = self.switches.get(&action.peer) {
                     agent
@@ -301,11 +358,238 @@ impl ControllerNode {
                 }
             }
             if let Some(&peer) = self.links.get(&(action.peer, action.channel)) {
-                outgoing.extend(controller.port_key_update(action.peer, action.channel, peer));
+                outgoing.extend(plane.port_key_update(now_ns, action.peer, action.channel, peer));
             }
         }
     }
 
+    /// Hands a frame from the switch behind `ingress` to `plane`, records
+    /// the events and transmits the replies.
+    fn on_frame(
+        &self,
+        plane: &RefCell<impl ControlPlane>,
+        now: SimTime,
+        ingress: PortId,
+        payload: &[u8],
+        out: &mut Outbox,
+    ) {
+        let now_ns = now.as_ns();
+        let outgoing = {
+            let mut plane = plane.borrow_mut();
+            let (mut outgoing, events) =
+                plane.on_message(now_ns, ControllerNode::switch_for(ingress), payload);
+            self.apply_port_actions(&mut *plane, now_ns, &mut outgoing);
+            self.events.borrow_mut().extend(events);
+            outgoing
+        };
+        ControllerNode::transmit(out, outgoing);
+    }
+}
+
+/// §VI-C: a link-up event (LLDP-detected "port active") between two
+/// switches triggers port-key initialization through `plane`.
+///
+/// A flapping link can come back up while the previous recovery's
+/// exchange is still in flight (the legs travel the control channel,
+/// which the flap does not touch). Starting a second exchange for the
+/// same link would overlap generations — the pending one completes
+/// instead, and `retry_stalled` re-drives it if it ever stalls.
+fn on_link_up(
+    plane: &RefCell<impl ControlPlane>,
+    now: SimTime,
+    event: TopologyEvent,
+    out: &mut Outbox,
+) {
+    let TopologyEvent::LinkUp { a, b, .. } = event else {
+        return;
+    };
+    if !is_switch(a.node) || !is_switch(b.node) {
+        return;
+    }
+    let outgoing = {
+        let mut plane = plane.borrow_mut();
+        if plane.has_pending_port_exchange(a, b) {
+            return;
+        }
+        plane.port_key_init(now.as_ns(), a, b)
+    };
+    ControllerNode::transmit(out, outgoing);
+}
+
+/// Transmits controller-originated messages with the controller's
+/// processing delay, so injected traffic never overtakes frames the
+/// controller node emitted in the same instant (sequence numbers are per
+/// channel and FIFO).
+fn send_from_controller(sim: &mut Simulator, outgoing: Vec<Outgoing>) {
+    for o in outgoing {
+        sim.inject_frame_delayed(
+            SwitchId::CONTROLLER,
+            ControllerNode::port_for(o.to),
+            o.bytes,
+            CONTROLLER_PROC_NS,
+        );
+    }
+}
+
+/// Runs the key-management bootstrap through `plane`: local-key
+/// initialization for every switch, then port-key initialization for
+/// every DP-DP link, driving the simulator until all exchanges complete.
+/// Returns the simulated time the bootstrap took.
+///
+/// # Panics
+///
+/// Panics if any key fails to establish (a protocol bug or an active
+/// adversary during bootstrap).
+fn bootstrap_keys(
+    sim: &mut Simulator,
+    switches: &HashMap<SwitchId, SharedSwitch>,
+    plane: &RefCell<impl ControlPlane>,
+) -> SimTime {
+    let start = sim.now();
+    // Sorted so the bootstrap exchange order (and any attached telemetry
+    // event log) is identical run to run despite HashMap iteration order.
+    let mut switch_ids: Vec<SwitchId> = switches.keys().copied().collect();
+    switch_ids.sort();
+    for &id in &switch_ids {
+        let outgoing = plane.borrow_mut().local_key_init(sim.now().as_ns(), id);
+        send_from_controller(sim, outgoing);
+    }
+    sim.run_to_completion();
+    for &id in &switch_ids {
+        assert!(
+            plane.borrow().has_local_key(id),
+            "local key init failed for {id}"
+        );
+    }
+
+    // Port keys for every DP-DP link (host attachment links are not
+    // switch-to-switch and carry no port keys).
+    let links: Vec<_> = sim
+        .topology()
+        .links()
+        .iter()
+        .filter(|l| is_dp_dp_link(l))
+        .copied()
+        .collect();
+    for link in &links {
+        let outgoing = plane
+            .borrow_mut()
+            .port_key_init(sim.now().as_ns(), link.a, link.b);
+        send_from_controller(sim, outgoing);
+        sim.run_to_completion();
+    }
+
+    for link in &links {
+        for end in [link.a, link.b] {
+            assert!(
+                switches[&end.node]
+                    .borrow()
+                    .keys()
+                    .port(end.port)
+                    .is_installed(),
+                "port key init failed for {}:{}",
+                end.node,
+                end.port
+            );
+        }
+    }
+    SimTime::from_ns(sim.now().since(start))
+}
+
+/// Every switch of `topology` with its `K_seed` (derived from
+/// `seed_base`), in id order.
+fn switch_seeds(topology: &Topology, seed_base: u64) -> Vec<(SwitchId, Key64)> {
+    let mut seeds: Vec<(SwitchId, Key64)> = topology
+        .nodes()
+        .iter()
+        .filter(|&&id| is_switch(id))
+        .map(|&id| {
+            let k = Key64::new(seed_base ^ (id.value() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            (id, k)
+        })
+        .collect();
+    seeds.sort_by_key(|&(id, _)| id);
+    seeds
+}
+
+/// Per-switch compromised-OS relay flags (see
+/// [`Network::compromise_switch_os`]).
+type RelayFlags = HashMap<SwitchId, Rc<Cell<bool>>>;
+
+/// Mounts one agent and [`SwitchNode`] per entry of `seeds` on `sim`,
+/// reporting DP-DP port-key installs to `notify`. `make_app` produces
+/// each switch's in-network app (or `None`); `configure` adjusts each
+/// agent's config. Returns the agent handles and the nodes'
+/// compromised-OS relay flags.
+fn mount_switches(
+    sim: &mut Simulator,
+    seeds: &[(SwitchId, Key64)],
+    notify: PortKeyNotifier,
+    mut make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
+    mut configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
+) -> (HashMap<SwitchId, SharedSwitch>, RelayFlags) {
+    let mut switches = HashMap::new();
+    let mut relay_flags = HashMap::new();
+    for &(id, k_seed) in seeds {
+        let neighbors = sim.topology().neighbors(id);
+        // The front-panel port carrying the C-DP channel, if any.
+        let cpu_netport = neighbors
+            .iter()
+            .find(|(_, ep)| ep.node.is_controller())
+            .map(|(p, _)| *p);
+        // Port count: highest *data* port number used in the topology.
+        let max_port = neighbors
+            .iter()
+            .filter(|(_, ep)| !ep.node.is_controller())
+            .map(|(p, _)| p.value())
+            .max()
+            .unwrap_or(1);
+        let config = configure(id, AgentConfig::new(id, max_port, k_seed));
+        let agent = Rc::new(RefCell::new(P4AuthSwitch::new(config, make_app(id))));
+        switches.insert(id, agent.clone());
+        let node = SwitchNode::new(id, agent, cpu_netport, Some(notify.clone()));
+        relay_flags.insert(id, node.compromised.clone());
+        sim.register_node(id, Box::new(node));
+    }
+    (switches, relay_flags)
+}
+
+/// Mounts the node `make_node` builds at the controller's topology
+/// position, if the topology has one, handing it the [`PlaneWiring`].
+fn mount_control_node(
+    sim: &mut Simulator,
+    events: &Rc<RefCell<Vec<ControllerEvent>>>,
+    switches: &HashMap<SwitchId, SharedSwitch>,
+    make_node: impl FnOnce(PlaneWiring) -> Box<dyn SimNode>,
+) {
+    if !sim.topology().nodes().iter().any(|id| id.is_controller()) {
+        return;
+    }
+    let mut links = HashMap::new();
+    for l in sim.topology().links() {
+        if is_dp_dp_link(l) {
+            links.insert((l.a.node, l.a.port), l.b.node);
+            links.insert((l.b.node, l.b.port), l.a.node);
+        }
+    }
+    let wiring = PlaneWiring {
+        events: events.clone(),
+        links,
+        switches: switches.clone(),
+    };
+    sim.register_node(SwitchId::CONTROLLER, make_node(wiring));
+}
+
+/// A [`SimNode`] wrapping the [`Controller`]. The controller reaches switch
+/// `i` through its own port `i - 1` (matching [`Topology::chain`] and the
+/// builder below).
+pub struct ControllerNode {
+    controller: SharedController,
+    rollover: SharedRollover,
+    wiring: PlaneWiring,
+}
+
+impl ControllerNode {
     /// The controller-side port used to reach `switch`.
     pub fn port_for(switch: SwitchId) -> PortId {
         PortId::new((switch.value() - 1) as u8)
@@ -325,16 +609,8 @@ impl ControllerNode {
 
 impl SimNode for ControllerNode {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        let from = Self::switch_for(ingress);
-        let (outgoing, events) = {
-            let mut controller = self.controller.borrow_mut();
-            controller.set_now(now.as_ns());
-            let (mut outgoing, events) = controller.on_message(from, &payload);
-            self.apply_port_actions(&mut controller, &mut outgoing);
-            (outgoing, events)
-        };
-        self.events.borrow_mut().extend(events);
-        Self::transmit(out, outgoing);
+        self.wiring
+            .on_frame(&self.controller, now, ingress, &payload, out);
     }
 
     fn on_timer(&mut self, now: SimTime, timer_id: u64, out: &mut Outbox) {
@@ -356,34 +632,15 @@ impl SimNode for ControllerNode {
         for &(sw1, port1, sw2) in &plan.links {
             outgoing.extend(controller.port_key_update(sw1, port1, sw2));
         }
-        self.apply_port_actions(&mut controller, &mut outgoing);
+        self.wiring
+            .apply_port_actions(&mut *controller, now.as_ns(), &mut outgoing);
         drop(controller);
         Self::transmit(out, outgoing);
         out.set_timer(ROLLOVER_TIMER, plan.period_ns);
     }
 
-    fn on_topology(&mut self, _now: SimTime, event: TopologyEvent, out: &mut Outbox) {
-        // §VI-C: a link-up event (LLDP-detected "port active") triggers
-        // port-key initialization between the two data planes.
-        if let TopologyEvent::LinkUp { a, b, .. } = event {
-            let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
-            if !is_switch(a.node) || !is_switch(b.node) {
-                return;
-            }
-            let mut controller = self.controller.borrow_mut();
-            // A flapping link can come back up while the previous
-            // recovery's exchange is still in flight (the legs travel the
-            // control channel, which the flap does not touch). Starting a
-            // second exchange for the same link would overlap generations
-            // — the pending one completes instead, and `retry_stalled`
-            // re-drives it if it ever stalls.
-            if controller.has_pending_port_exchange(a.node, a.port, b.node, b.port) {
-                return;
-            }
-            let outgoing = controller.port_key_init(a.node, a.port, b.node, b.port);
-            drop(controller);
-            Self::transmit(out, outgoing);
-        }
+    fn on_topology(&mut self, now: SimTime, event: TopologyEvent, out: &mut Outbox) {
+        on_link_up(&self.controller, now, event, out);
     }
 }
 
@@ -398,9 +655,7 @@ pub struct Network {
     /// Controller events accumulated during the run.
     pub events: Rc<RefCell<Vec<ControllerEvent>>>,
     rollover: SharedRollover,
-    /// Per-switch compromised-OS relay flags (see
-    /// [`Network::compromise_switch_os`]).
-    relay_flags: HashMap<SwitchId, Rc<Cell<bool>>>,
+    relay_flags: RelayFlags,
 }
 
 impl Network {
@@ -435,70 +690,34 @@ impl Network {
         scheduler: SchedulerKind,
         controller_config: ControllerConfig,
         seed_base: u64,
-        mut make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
-        mut configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
+        make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
+        configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
     ) -> Network {
         let mut sim = Simulator::with_scheduler(topology, scheduler);
-        let mut switches = HashMap::new();
-        let mut relay_flags = HashMap::new();
-        let controller = Rc::new(RefCell::new(Controller::new(controller_config)));
+        let seeds = switch_seeds(sim.topology(), seed_base);
+        let mut controller = Controller::new(controller_config);
+        for &(id, k_seed) in &seeds {
+            controller.register_switch(id, k_seed);
+        }
+        let controller = Rc::new(RefCell::new(controller));
+        let notify: PortKeyNotifier = Rc::new(RefCell::new({
+            let controller = controller.clone();
+            move |now_ns: u64, peer: SwitchId, channel: PortId| {
+                let mut c = controller.borrow_mut();
+                c.set_now(now_ns);
+                c.notify_port_key_installed(peer, channel);
+            }
+        }));
+        let (switches, relay_flags) = mount_switches(&mut sim, &seeds, notify, make_app, configure);
         let events = Rc::new(RefCell::new(Vec::new()));
         let rollover: SharedRollover = Rc::new(RefCell::new(None));
-
-        let node_ids: Vec<SwitchId> = sim.topology().nodes().to_vec();
-        let mut has_controller = false;
-        for id in node_ids {
-            if id.value() >= HOST_ID_BASE {
-                continue; // hosts get their behaviour attached separately
-            }
-            if id.is_controller() {
-                has_controller = true; // registered below, once agents exist
-                continue;
-            }
-            let k_seed =
-                Key64::new(seed_base ^ (id.value() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            controller.borrow_mut().register_switch(id, k_seed);
-            let neighbors = sim.topology().neighbors(id);
-            // The front-panel port carrying the C-DP channel, if any.
-            let cpu_netport = neighbors
-                .iter()
-                .find(|(_, ep)| ep.node.is_controller())
-                .map(|(p, _)| *p);
-            // Port count: highest *data* port number used in the topology.
-            let max_port = neighbors
-                .iter()
-                .filter(|(_, ep)| !ep.node.is_controller())
-                .map(|(p, _)| p.value())
-                .max()
-                .unwrap_or(1);
-            let config = configure(id, AgentConfig::new(id, max_port, k_seed));
-            let agent = Rc::new(RefCell::new(P4AuthSwitch::new(config, make_app(id))));
-            switches.insert(id, agent.clone());
-            let node = SwitchNode::new(id, agent, cpu_netport, Some(controller.clone()));
-            relay_flags.insert(id, node.compromised.clone());
-            sim.register_node(id, Box::new(node));
-        }
-        if has_controller {
-            // DP-DP adjacency for translating port-channel defence
-            // mitigations into portKeyUpdate messages.
-            let mut links = HashMap::new();
-            for l in sim.topology().links() {
-                if is_dp_dp_link(l) {
-                    links.insert((l.a.node, l.a.port), l.b.node);
-                    links.insert((l.b.node, l.b.port), l.a.node);
-                }
-            }
-            sim.register_node(
-                SwitchId::CONTROLLER,
-                Box::new(ControllerNode::new(
-                    controller.clone(),
-                    events.clone(),
-                    rollover.clone(),
-                    links,
-                    switches.clone(),
-                )),
-            );
-        }
+        mount_control_node(&mut sim, &events, &switches, |wiring| {
+            Box::new(ControllerNode {
+                controller: controller.clone(),
+                rollover: rollover.clone(),
+                wiring,
+            })
+        });
 
         Network {
             sim,
@@ -611,78 +830,15 @@ impl Network {
     /// Panics if any key fails to establish (a protocol bug or an active
     /// adversary during bootstrap).
     pub fn bootstrap_keys(&mut self) -> SimTime {
-        let start = self.sim.now();
-        // Sorted so the bootstrap exchange order (and any attached telemetry
-        // event log) is identical run to run despite HashMap iteration order.
-        let switch_ids: Vec<SwitchId> = {
-            let mut s: Vec<SwitchId> = self.switches.keys().copied().collect();
-            s.sort();
-            s
-        };
-        for &id in &switch_ids {
-            let outgoing = self.controller.borrow_mut().local_key_init(id);
-            self.send_from_controller(outgoing);
-        }
-        self.sim.run_to_completion();
-        for &id in &switch_ids {
-            assert!(
-                self.controller.borrow().has_local_key(id),
-                "local key init failed for {id}"
-            );
-        }
-
-        // Port keys for every DP-DP link (host attachment links are not
-        // switch-to-switch and carry no port keys).
-        let links: Vec<_> = self
-            .sim
-            .topology()
-            .links()
-            .iter()
-            .filter(|l| is_dp_dp_link(l))
-            .copied()
-            .collect();
-        for link in links {
-            let outgoing = self.controller.borrow_mut().port_key_init(
-                link.a.node,
-                link.a.port,
-                link.b.node,
-                link.b.port,
-            );
-            self.send_from_controller(outgoing);
-            self.sim.run_to_completion();
-        }
-
-        for link in self.sim.topology().links() {
-            if !is_dp_dp_link(link) {
-                continue;
-            }
-            for (node, port) in [(link.a.node, link.a.port), (link.b.node, link.b.port)] {
-                assert!(
-                    self.switches[&node]
-                        .borrow()
-                        .keys()
-                        .port(port)
-                        .is_installed(),
-                    "port key init failed for {node}:{port}"
-                );
-            }
-        }
-        SimTime::from_ns(self.sim.now().since(start))
+        bootstrap_keys(&mut self.sim, &self.switches, &self.controller)
     }
 
     /// Transmits controller-originated messages with the controller's
     /// processing delay, so injected traffic never overtakes frames the
     /// controller node emitted in the same instant (sequence numbers are
     /// per channel and FIFO).
-    pub fn send_from_controller(&mut self, outgoing: Vec<p4auth_controller::Outgoing>) {
-        for o in outgoing {
-            self.sim.inject_frame_delayed(
-                SwitchId::CONTROLLER,
-                ControllerNode::port_for(o.to),
-                o.bytes,
-                CONTROLLER_PROC_NS,
-            );
-        }
+    pub fn send_from_controller(&mut self, outgoing: Vec<Outgoing>) {
+        send_from_controller(&mut self.sim, outgoing);
     }
 
     /// Sends a controller-originated register read into the network.
@@ -768,48 +924,15 @@ pub const ORCH_PERIOD_NS: u64 = 5_000_000;
 /// by the wire.
 pub struct ReplicaSetNode {
     set: SharedReplicaSet,
-    events: Rc<RefCell<Vec<ControllerEvent>>>,
-    /// DP-DP adjacency: `(switch, port)` → peer switch, for translating
-    /// defence mitigations on port channels into `portKeyUpdate`s.
-    links: HashMap<(SwitchId, PortId), SwitchId>,
-    /// Agent handles, for flipping agent-side quarantine enforcement.
-    switches: HashMap<SwitchId, SharedSwitch>,
+    wiring: PlaneWiring,
     /// Whether an ORCH timer chain is live (shared with the network so
     /// arming is idempotent).
     armed: Rc<Cell<bool>>,
 }
 
-impl ReplicaSetNode {
-    /// Same contract as [`ControllerNode::apply_port_actions`], routed
-    /// through the owning replica.
-    fn apply_port_actions(&self, set: &mut ReplicaSet, now_ns: u64, outgoing: &mut Vec<Outgoing>) {
-        for action in set.take_port_actions() {
-            if action.kind == MitigationKind::Quarantine {
-                if let Some(agent) = self.switches.get(&action.peer) {
-                    agent
-                        .borrow_mut()
-                        .set_channel_quarantine(action.channel, true);
-                }
-            }
-            if let Some(&peer) = self.links.get(&(action.peer, action.channel)) {
-                outgoing.extend(set.port_key_update(now_ns, action.peer, action.channel, peer));
-            }
-        }
-    }
-}
-
 impl SimNode for ReplicaSetNode {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        let now_ns = now.as_ns();
-        let from = ControllerNode::switch_for(ingress);
-        let outgoing = {
-            let mut set = self.set.borrow_mut();
-            let (mut outgoing, events) = set.on_message(now_ns, from, &payload);
-            self.apply_port_actions(&mut set, now_ns, &mut outgoing);
-            self.events.borrow_mut().extend(events);
-            outgoing
-        };
-        ControllerNode::transmit(out, outgoing);
+        self.wiring.on_frame(&self.set, now, ingress, &payload, out);
     }
 
     fn on_timer(&mut self, now: SimTime, timer_id: u64, out: &mut Outbox) {
@@ -831,19 +954,9 @@ impl SimNode for ReplicaSetNode {
     }
 
     fn on_topology(&mut self, now: SimTime, event: TopologyEvent, out: &mut Outbox) {
-        // §VI-C: a link-up event triggers port-key initialization, routed
-        // through (and possibly redirected across) the owning replicas.
-        if let TopologyEvent::LinkUp { a, b, .. } = event {
-            let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
-            if !is_switch(a.node) || !is_switch(b.node) {
-                return;
-            }
-            let outgoing =
-                self.set
-                    .borrow_mut()
-                    .port_key_init(now.as_ns(), a.node, a.port, b.node, b.port);
-            ControllerNode::transmit(out, outgoing);
-        }
+        // Routed through (and possibly redirected across) the owning
+        // replicas; the flapping-link guard asks the initiator's owner.
+        on_link_up(&self.set, now, event, out);
     }
 }
 
@@ -875,40 +988,18 @@ impl ReplicatedNetwork {
         n_replicas: usize,
         controller_config: ControllerConfig,
         seed_base: u64,
-        mut make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
-        mut configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
+        make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
+        configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
     ) -> ReplicatedNetwork {
         assert!(n_replicas > 0, "at least one controller replica");
         let mut sim = Simulator::with_scheduler(topology, SchedulerKind::default());
-        let events: Rc<RefCell<Vec<ControllerEvent>>> = Rc::new(RefCell::new(Vec::new()));
-        let orch_armed = Rc::new(Cell::new(false));
-
-        // Seeds sorted by id so replica registration order (and with it
-        // every per-replica RNG stream) is identical run to run.
-        let mut switch_ids: Vec<SwitchId> = sim
-            .topology()
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|id| !id.is_controller() && id.value() < HOST_ID_BASE)
-            .collect();
-        switch_ids.sort();
-        let seeds: Vec<(SwitchId, Key64)> = switch_ids
-            .iter()
-            .map(|&id| {
-                let k =
-                    Key64::new(seed_base ^ (id.value() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                (id, k)
-            })
-            .collect();
+        let seeds = switch_seeds(sim.topology(), seed_base);
         let set: SharedReplicaSet = Rc::new(RefCell::new(ReplicaSet::new(
             n_replicas,
             controller_config,
             &seeds,
         )));
-
-        // One shared notifier: completions go to whichever replica owns
-        // the reporting switch.
+        // Completions go to whichever replica owns the reporting switch.
         let notify: PortKeyNotifier = Rc::new(RefCell::new({
             let set = set.clone();
             move |now_ns: u64, peer: SwitchId, channel: PortId| {
@@ -916,53 +1007,16 @@ impl ReplicatedNetwork {
                     .notify_port_key_installed(now_ns, peer, channel);
             }
         }));
-
-        let mut switches = HashMap::new();
-        let has_controller = sim.topology().nodes().iter().any(|id| id.is_controller());
-        for &(id, k_seed) in &seeds {
-            let neighbors = sim.topology().neighbors(id);
-            let cpu_netport = neighbors
-                .iter()
-                .find(|(_, ep)| ep.node.is_controller())
-                .map(|(p, _)| *p);
-            let max_port = neighbors
-                .iter()
-                .filter(|(_, ep)| !ep.node.is_controller())
-                .map(|(p, _)| p.value())
-                .max()
-                .unwrap_or(1);
-            let config = configure(id, AgentConfig::new(id, max_port, k_seed));
-            let agent = Rc::new(RefCell::new(P4AuthSwitch::new(config, make_app(id))));
-            switches.insert(id, agent.clone());
-            sim.register_node(
-                id,
-                Box::new(SwitchNode::with_notifier(
-                    id,
-                    agent,
-                    cpu_netport,
-                    Some(notify.clone()),
-                )),
-            );
-        }
-        if has_controller {
-            let mut links = HashMap::new();
-            for l in sim.topology().links() {
-                if is_dp_dp_link(l) {
-                    links.insert((l.a.node, l.a.port), l.b.node);
-                    links.insert((l.b.node, l.b.port), l.a.node);
-                }
-            }
-            sim.register_node(
-                SwitchId::CONTROLLER,
-                Box::new(ReplicaSetNode {
-                    set: set.clone(),
-                    events: events.clone(),
-                    links,
-                    switches: switches.clone(),
-                    armed: orch_armed.clone(),
-                }),
-            );
-        }
+        let (switches, _) = mount_switches(&mut sim, &seeds, notify, make_app, configure);
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let orch_armed = Rc::new(Cell::new(false));
+        mount_control_node(&mut sim, &events, &switches, |wiring| {
+            Box::new(ReplicaSetNode {
+                set: set.clone(),
+                wiring,
+                armed: orch_armed.clone(),
+            })
+        });
 
         ReplicatedNetwork {
             sim,
@@ -983,75 +1037,7 @@ impl ReplicatedNetwork {
     ///
     /// Panics if any key fails to establish.
     pub fn bootstrap_keys(&mut self) -> SimTime {
-        let start = self.sim.now();
-        let switch_ids: Vec<SwitchId> = {
-            let mut s: Vec<SwitchId> = self.switches.keys().copied().collect();
-            s.sort();
-            s
-        };
-        for &id in &switch_ids {
-            let now_ns = self.sim.now().as_ns();
-            let outgoing = self.set.borrow_mut().local_key_init(now_ns, id);
-            self.send_from_controller(outgoing);
-        }
-        self.sim.run_to_completion();
-        for &id in &switch_ids {
-            assert!(
-                self.set.borrow().has_local_key(id),
-                "local key init failed for {id}"
-            );
-        }
-
-        let links: Vec<_> = self
-            .sim
-            .topology()
-            .links()
-            .iter()
-            .filter(|l| is_dp_dp_link(l))
-            .copied()
-            .collect();
-        for link in links {
-            let now_ns = self.sim.now().as_ns();
-            let outgoing = self.set.borrow_mut().port_key_init(
-                now_ns,
-                link.a.node,
-                link.a.port,
-                link.b.node,
-                link.b.port,
-            );
-            self.send_from_controller(outgoing);
-            self.sim.run_to_completion();
-        }
-
-        for link in self.sim.topology().links() {
-            if !is_dp_dp_link(link) {
-                continue;
-            }
-            for (node, port) in [(link.a.node, link.a.port), (link.b.node, link.b.port)] {
-                assert!(
-                    self.switches[&node]
-                        .borrow()
-                        .keys()
-                        .port(port)
-                        .is_installed(),
-                    "port key init failed for {node}:{port}"
-                );
-            }
-        }
-        SimTime::from_ns(self.sim.now().since(start))
-    }
-
-    /// Transmits replica-originated messages with the controller's
-    /// processing delay (see [`Network::send_from_controller`]).
-    pub fn send_from_controller(&mut self, outgoing: Vec<Outgoing>) {
-        for o in outgoing {
-            self.sim.inject_frame_delayed(
-                SwitchId::CONTROLLER,
-                ControllerNode::port_for(o.to),
-                o.bytes,
-                CONTROLLER_PROC_NS,
-            );
-        }
+        bootstrap_keys(&mut self.sim, &self.switches, &self.set)
     }
 
     /// Sends a register read toward `switch` via its owner replica.
@@ -1061,7 +1047,7 @@ impl ReplicatedNetwork {
             .set
             .borrow_mut()
             .read_register(now_ns, switch, reg, index);
-        self.send_from_controller(vec![o]);
+        send_from_controller(&mut self.sim, vec![o]);
     }
 
     /// Sends a register write toward `switch` via its owner replica.
@@ -1071,7 +1057,7 @@ impl ReplicatedNetwork {
             .set
             .borrow_mut()
             .write_register(now_ns, switch, reg, index, value);
-        self.send_from_controller(vec![o]);
+        send_from_controller(&mut self.sim, vec![o]);
     }
 
     /// Drains accumulated controller events (all replicas, in arrival

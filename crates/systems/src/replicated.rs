@@ -18,8 +18,8 @@
 //!    the stale digest is rejected there, proving both partitions
 //!    authenticate independently.
 //! 4. **Bulk rollover** — a versioned epoch fans out over both
-//!    partitions through the shared state table; per-replica fan-out
-//!    latency is recorded in the `kmp` table and telemetry.
+//!    partitions through the shared rollover table; per-replica fan-out
+//!    latency is recorded in the table and telemetry.
 //!
 //! The report (and the full telemetry snapshot inside it) serializes to
 //! deterministic JSON; `repro -- replicas` and the CI two-run gate diff
@@ -27,8 +27,6 @@
 
 use crate::harness::ReplicatedNetwork;
 use p4auth_attacks::{ctrl_mitm, digest_flood};
-use p4auth_controller::daemons::tables;
-use p4auth_controller::statedb::Value;
 use p4auth_controller::{ControllerConfig, ControllerEvent, DefenceConfig};
 use p4auth_dataplane::register::RegisterArray;
 use p4auth_netsim::time::SimTime;
@@ -266,12 +264,7 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
         let set = net.set.borrow();
         let complete = set.rollover_complete();
         let fanout = (0..config.replicas)
-            .map(|i| {
-                set.db()
-                    .value(tables::KMP, &format!("fanout@replica{i}@{rollover_epoch}"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0)
-            })
+            .map(|i| set.table().fanout_ns(i, rollover_epoch).unwrap_or(0))
             .collect();
         (complete, fanout)
     };

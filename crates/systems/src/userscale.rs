@@ -12,7 +12,7 @@
 //! ~50 MB of `Vec`s rather than a million boxed nodes.
 //!
 //! Every user stream is deterministic from `(seed, global user index)`
-//! alone via [`workloads::flows::user_seed`], independent of aggregate
+//! alone via [`p4auth_workloads::flows::user_seed`], independent of aggregate
 //! boundaries and emission order. Two execution modes share the same
 //! per-user state machine:
 //!

@@ -48,9 +48,11 @@ pub enum SpanKind {
     DigestVerify = 4,
     /// A digest (or replay/quarantine) rejection.
     DigestReject = 5,
-    /// A state-table write batch landed.
+    /// A replica's rollover step wrote to the shared rollover table
+    /// (`arg_a` = value-changing writes).
     StateDbWrite = 6,
-    /// An orchestration daemon tick that did work.
+    /// A replica stepped after the rollover table moved since its last
+    /// step (`arg_a` = writes since then).
     DaemonWake = 7,
     /// A KMP/ADHKD offer left the controller.
     KmpOffer = 8,
@@ -455,11 +457,15 @@ impl std::fmt::Display for TraceDecodeError {
 
 impl std::error::Error for TraceDecodeError {}
 
+/// Encoded size of one span record: three ids, kind, source, start,
+/// end, seq and two arguments.
+const TRACE_RECORD_LEN: usize = 8 + 8 + 8 + 1 + 2 + 8 + 8 + 8 + 8 + 8;
+
 /// Encodes spans (callers pass them in canonical order) as a `P4TR`
 /// payload: magic, version, drop count, record count, then fixed-width
 /// little-endian records.
 pub fn encode_trace(records: &[SpanRecord], dropped: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 2 + 8 + 4 + records.len() * 67);
+    let mut out = Vec::with_capacity(4 + 2 + 8 + 4 + records.len() * TRACE_RECORD_LEN);
     out.extend_from_slice(&TRACE_MAGIC);
     out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
     out.extend_from_slice(&dropped.to_le_bytes());
@@ -526,7 +532,8 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<SpanRecord>, u64), TraceDecodeE
     }
     let dropped = r.u64()?;
     let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(1 << 20));
+    // The count is untrusted: reserve only what the payload can hold.
+    let mut records = Vec::with_capacity(count.min((bytes.len() - r.pos) / TRACE_RECORD_LEN));
     for _ in 0..count {
         let trace_id = r.u64()?;
         let span_id = r.u64()?;

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// A length specification for [`vec`].
+/// A length specification for [`vec()`].
 pub trait SizeRange {
     /// Draws a length.
     fn draw_len(&self, rng: &mut TestRng) -> usize;
@@ -37,7 +37,7 @@ pub fn vec<S: Strategy, R: SizeRange>(element: S, size: R) -> VecStrategy<S, R> 
     VecStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S, R> {
     element: S,
     size: R,

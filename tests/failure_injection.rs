@@ -10,9 +10,10 @@ use p4auth::netsim::sim::TapAction;
 use p4auth::netsim::time::SimTime;
 use p4auth::netsim::topology::Topology;
 use p4auth::primitives::rng::SplitMix64;
-use p4auth::systems::harness::{ControllerNode, Network};
+use p4auth::systems::harness::{ControllerNode, Network, ReplicatedNetwork, SharedSwitch};
 use p4auth::wire::ids::{PortId, RegId, SwitchId};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 const S1: SwitchId = SwitchId::new(1);
@@ -199,17 +200,25 @@ fn is_dp_dp(l: &p4auth::netsim::topology::Link) -> bool {
 /// Every DP-DP link's port keys are installed on both endpoints and the
 /// two ends hold the same key bytes.
 fn assert_dp_dp_keys_agree(net: &Network) {
-    for l in net.sim.topology().links() {
+    assert_port_keys_agree(&net.sim, &net.switches);
+}
+
+/// [`assert_dp_dp_keys_agree`] for any network's simulator and agents.
+fn assert_port_keys_agree(
+    sim: &p4auth::netsim::sim::Simulator,
+    switches: &HashMap<SwitchId, SharedSwitch>,
+) {
+    for l in sim.topology().links() {
         if !is_dp_dp(l) {
             continue;
         }
-        let ka = net.switches[&l.a.node]
+        let ka = switches[&l.a.node]
             .borrow()
             .keys()
             .port(l.a.port)
             .current()
             .unwrap_or_else(|| panic!("no port key at {}:{}", l.a.node, l.a.port));
-        let kb = net.switches[&l.b.node]
+        let kb = switches[&l.b.node]
             .borrow()
             .keys()
             .port(l.b.port)
@@ -258,6 +267,44 @@ fn link_flap_recovery_reagrees_port_keys() {
             .any(|e| matches!(e, ControllerEvent::Rejected { .. })),
         "recovery re-keying must verify cleanly: {events:?}"
     );
+}
+
+#[test]
+fn replicated_flap_during_recovery_reagrees_port_keys() {
+    // Regression: the link comes back up while the exchange of the
+    // previous recovery is still pending. The replicated control plane
+    // must skip the second exchange, as the monolithic controller does;
+    // starting an overlapping generation left S13:p3 and S5:p1 holding
+    // different port keys, with one replica and with two.
+    let ft = FatTree::new(4);
+    for replicas in [1, 2] {
+        let mut net = ReplicatedNetwork::build(
+            Topology::fat_tree_with_controller(4, 1_000, 200_000),
+            replicas,
+            ControllerConfig::default(),
+            0xf1a9,
+            |_| None,
+            |_, c| c,
+        );
+        net.bootstrap_keys();
+        let now = net.sim.now().as_ns();
+        let (uplink, _) = net
+            .sim
+            .topology()
+            .link_at(ft.edge(0, 0), PortId::new(3))
+            .unwrap();
+        let mut plan = FaultPlan::new();
+        plan.flap(uplink, now + 10_000, now + 2_000_000).flap(
+            uplink,
+            now + 2_100_000,
+            now + 2_200_000,
+        );
+        net.sim.install_fault_plan(&plan);
+        net.sim.run_to_completion();
+
+        assert_eq!(net.sim.stats().faults_applied, 4);
+        assert_port_keys_agree(&net.sim, &net.switches);
+    }
 }
 
 #[test]
